@@ -135,24 +135,26 @@ def run_simulate(args) -> int:
         sigma0=report.vol.sigma_bar,
     )
     ens = simulate.simulate_paths(report.seasonal, report.kappa, report.vol,
-                                  config)
+                                  config, report.meta.start)
     p05 = np.percentile(ens.paths, 5, axis=0)
     p95 = np.percentile(ens.paths, 95, axis=0)
     sd = (ens.cross_path_sd if ens.cross_path_sd is not None
           else np.zeros(args.days))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("day,mean,sd,p05,p95\n")
-        for day in range(args.days):
-            fh.write(f"{day},{ens.mean_path[day]!r},{sd[day]!r},"
-                     f"{p05[day]!r},{p95[day]!r}\n")
+    _write_day_rows(args.out, "mean,sd,p05,p95",
+                    np.column_stack((ens.mean_path, sd, p05, p95)))
     if args.full_paths:
-        cols = ",".join(f"path_{p}" for p in range(args.paths))
-        with open(args.full_paths, "w", encoding="utf-8") as fh:
-            fh.write(f"day,{cols}\n")
-            for day in range(args.days):
-                row = ",".join(repr(float(v)) for v in ens.paths[:, day])
-                fh.write(f"{day},{row}\n")
+        _write_day_rows(args.full_paths,
+                        ",".join(f"path_{p}" for p in range(args.paths)),
+                        ens.paths.T)
     return 0
+
+
+def _write_day_rows(path: str, columns: str, rows) -> None:
+    """A `day,<columns>` CSV of a 2-D array's rows, as plain float reprs."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"day,{columns}\n")
+        for day, row in enumerate(rows):
+            fh.write(f"{day},{','.join(map(repr, row.tolist()))}\n")
 
 
 def run_evaluate(args) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EstimationError, InputError
 from .seasonal import SeasonalMeanParams, evaluate_seasonal_mean, residuals
-from .series import TemperatureSeries
+from .series import TemperatureSeries, month_index
 from .volatility import MonthlyVolatilitySeries
 
 
@@ -69,22 +69,21 @@ def estimating_terms_scale(resid: np.ndarray, weights: np.ndarray,
 
 def transition_weights(series: TemperatureSeries,
                        vols: MonthlyVolatilitySeries) -> np.ndarray:
-    """1 / sigma^2(month of day j-1) for each transition j."""
-    by_month = vols.by_month()
-    w = np.empty(len(series) - 1)
-    for j in range(1, len(series)):
-        d = series.dates[j - 1]
-        sigma = by_month.get((d.year, d.month))
-        if sigma is None:
-            raise EstimationError(
-                f"no monthly volatility for {d.year}-{d.month:02d}",
-                stage="mean_reversion")
-        if sigma <= 0.0:
-            raise EstimationError(
-                f"zero volatility in month {d.year}-{d.month:02d}; "
-                "transition weights undefined", stage="mean_reversion")
-        w[j - 1] = 1.0 / (sigma * sigma)
-    return w
+    """1 / sigma^2(month of day j-1) for each transition j; ``vols`` must
+    list the series' calendar months in order."""
+    month_id, months = month_index(series.dates)
+    if [(e.year, e.month) for e in vols.entries] != months:
+        raise EstimationError(
+            "no monthly volatility list matching the series' calendar months "
+            f"({len(months)} from {months[0][0]}-{months[0][1]:02d})",
+            stage="mean_reversion")
+    sigma = vols.sigmas[month_id[:-1]]
+    if np.any(sigma <= 0.0):
+        year, month = months[month_id[np.argmax(sigma <= 0.0)]]
+        raise EstimationError(
+            f"zero volatility in month {year}-{month:02d}; "
+            "transition weights undefined", stage="mean_reversion")
+    return 1.0 / sigma ** 2
 
 
 def estimate_kappa(series: TemperatureSeries, seasonal: SeasonalMeanParams,

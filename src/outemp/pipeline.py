@@ -10,13 +10,14 @@ against the mean path.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
 from .seasonal import SeasonalMeanParams, fit_seasonal_mean, residuals
-from .series import TemperatureSeries
-from .simulate import SimulationConfig, calendar_month_lengths, simulate_paths
+from .series import TemperatureSeries, is_leap_day
+from .simulate import SimulationConfig, simulate_paths
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
                     anderson_darling_normal, describe, fit_metrics)
 from .volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
@@ -75,8 +76,8 @@ def fit_full_model(series: TemperatureSeries,
         normality_residuals=anderson_darling_normal(resid),
         meta=ReportMeta(
             n_obs=len(series),
-            start=series.dates[0],
-            end=series.dates[-1],
+            start=series.dates[0].item(),
+            end=series.dates[-1].item(),
             leap_days_removed=leap_days_removed,
         ),
     )
@@ -101,9 +102,8 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
         sigma0=report.vol.sigma_bar,
         constant_vol_override=constant_vol_override,
     )
-    ensemble = simulate_paths(
-        report.seasonal, report.kappa, report.vol, config,
-        month_lengths=calendar_month_lengths(series.dates))
+    ensemble = simulate_paths(report.seasonal, report.kappa, report.vol,
+                              config, series.dates[0])
     return fit_metrics(series.temps, ensemble.mean_path)
 
 
@@ -175,41 +175,70 @@ def report_to_dict(report: FitReport) -> dict:
     }
 
 
+# Report fields that may be null; other scalars but the dates are numbers.
+_NULLABLE = {"skewness", "excess_kurtosis", "precipitation", "metrics", "eval_seed"}
+
+
+def _check_scalars(node, key: str) -> None:
+    if isinstance(node, dict):
+        for k, value in node.items():
+            _check_scalars(value, k)
+    elif isinstance(node, list):
+        for value in node:
+            _check_scalars(value, key)
+    elif node is None and key in _NULLABLE or key in ("start", "end"):
+        return
+    elif (isinstance(node, bool) or not isinstance(node, (int, float))
+          or not math.isfinite(node)):
+        raise InputError(f"report field {key!r} is not a finite number: {node!r}")
+
+
 def report_from_dict(d: dict) -> FitReport:
-    version = d.get("meta", {}).get("schema_version")
+    """Inverse of :func:`report_to_dict`; bad payloads raise InputError."""
+    if not isinstance(d, dict) or not isinstance(d.get("meta"), dict):
+        raise InputError("report JSON must be an object with a 'meta' object")
+    version = d["meta"].get("schema_version")
     if version != SCHEMA_VERSION:
         raise InputError(
             f"unsupported report schema_version {version!r}; "
             f"expected {SCHEMA_VERSION}")
-    s = d["seasonal"]
-    v = d["vol"]
-    metrics = d.get("metrics")
-    desc = d["descriptive"]
-    return FitReport(
-        seasonal=SeasonalMeanParams(a_t=s["a_t"], b_t=s["b_t"], c_t=s["c_t"],
-                                    psi=s["psi"], r_squared_fit=s["r2"]),
-        kappa=MeanReversionEstimate(kappa_t=d["kappa_t"],
-                                    g_at_kappa=d["g_at_kappa"],
-                                    n_terms=d["n_terms"]),
-        vol=VolatilityModelParams(sigma_bar=v["sigma_bar"],
-                                  sigma_sigma=v["sigma_sigma"],
-                                  kappa_sigma=v["kappa_sigma"]),
-        monthly_vols=MonthlyVolatilitySeries(entries=tuple(
-            MonthlyVolatility(year=e["year"], month=e["month"], sigma=e["sigma"])
-            for e in d["monthly_vols"])),
-        descriptive_temp=_describe_from_dict(desc["temperature"]),
-        descriptive_precip=(_describe_from_dict(desc["precipitation"])
-                            if desc["precipitation"] else None),
-        normality_temp=NormalityTestResult(**d["normality"]["temperature"]),
-        normality_residuals=NormalityTestResult(**d["normality"]["residuals"]),
-        metrics=(None if metrics is None else FitMetrics(
-            rmse=metrics["rmse"], mape_pct=metrics["mape_pct"],
-            r_squared=metrics["r2"])),
-        meta=ReportMeta(
-            n_obs=d["meta"]["n_obs"],
-            start=dt.date.fromisoformat(d["meta"]["start"]),
-            end=dt.date.fromisoformat(d["meta"]["end"]),
-            leap_days_removed=d["meta"]["leap_days_removed"],
-            eval_seed=d["meta"]["eval_seed"],
-        ),
-    )
+    _check_scalars(d, "report")
+    try:
+        s, v, desc = d["seasonal"], d["vol"], d["descriptive"]
+        metrics = d.get("metrics")
+        report = FitReport(
+            seasonal=SeasonalMeanParams(a_t=s["a_t"], b_t=s["b_t"], c_t=s["c_t"],
+                                        psi=s["psi"], r_squared_fit=s["r2"]),
+            kappa=MeanReversionEstimate(kappa_t=d["kappa_t"],
+                                        g_at_kappa=d["g_at_kappa"],
+                                        n_terms=d["n_terms"]),
+            vol=VolatilityModelParams(sigma_bar=v["sigma_bar"],
+                                      sigma_sigma=v["sigma_sigma"],
+                                      kappa_sigma=v["kappa_sigma"]),
+            monthly_vols=MonthlyVolatilitySeries(entries=tuple(
+                MonthlyVolatility(year=e["year"], month=e["month"], sigma=e["sigma"])
+                for e in d["monthly_vols"])),
+            descriptive_temp=_describe_from_dict(desc["temperature"]),
+            descriptive_precip=(_describe_from_dict(desc["precipitation"])
+                                if desc["precipitation"] else None),
+            normality_temp=NormalityTestResult(**d["normality"]["temperature"]),
+            normality_residuals=NormalityTestResult(**d["normality"]["residuals"]),
+            metrics=(None if metrics is None else FitMetrics(
+                rmse=metrics["rmse"], mape_pct=metrics["mape_pct"],
+                r_squared=metrics["r2"])),
+            meta=ReportMeta(
+                n_obs=d["meta"]["n_obs"],
+                start=dt.date.fromisoformat(d["meta"]["start"]),
+                end=dt.date.fromisoformat(d["meta"]["end"]),
+                leap_days_removed=d["meta"]["leap_days_removed"],
+                eval_seed=d["meta"]["eval_seed"],
+            ),
+        )
+    except KeyError as exc:
+        raise InputError(f"report has no field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed report: {exc}") from None
+    if is_leap_day(report.meta.start):
+        raise InputError(f"report meta.start {report.meta.start} falls on "
+                         "Feb 29, which the leap-free calendar skips")
+    return report

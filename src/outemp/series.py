@@ -1,11 +1,12 @@
-"""Calendar-indexed daily temperature series.
+"""Calendar-indexed daily temperature series and the leap-free calendar.
 
 The modeling conventions live here: series are strictly date-ordered,
 leap days (Feb 29) are removed before any fitting, and after stripping
 the series must be gap-free with exactly 365 observations per full year.
 The day index ``t`` is the 0-based position within the leap-stripped
 series, and the seasonal phase of index t is 2*pi*t/365 with no leap
-adjustment.
+adjustment. Volatility is constant within the calendar months that
+:func:`month_index` numbers, for fitting and simulation alike.
 """
 
 from __future__ import annotations
@@ -33,20 +34,23 @@ CSV_HEADER = ("date", "t_avg_c", "precip_mm")
 class TemperatureSeries:
     """Ordered daily temperature records, optionally with precipitation.
 
-    ``dates`` are strictly increasing calendar days; ``temps`` is a float
-    array of the same length in degrees Celsius; ``precip`` (mm) is either
-    None or a parallel non-negative float array.
+    ``dates`` is a read-only, strictly increasing ``datetime64[D]`` array;
+    ``temps`` is a float array of the same length in degrees Celsius;
+    ``precip`` (mm) is either None or a parallel non-negative float array.
     """
 
-    dates: tuple[dt.date, ...]
+    dates: np.ndarray
     temps: np.ndarray
     precip: np.ndarray | None = None
 
     def __post_init__(self):
+        dates = np.asarray(self.dates, dtype="datetime64[D]")
+        dates.flags.writeable = False
+        object.__setattr__(self, "dates", dates)
         temps = np.asarray(self.temps, dtype=float)
         temps.flags.writeable = False
         object.__setattr__(self, "temps", temps)
-        if len(self.dates) != temps.size:
+        if dates.shape != temps.shape:
             raise InputError("dates and temperatures have different lengths")
         if temps.size == 0:
             raise InputError("empty series")
@@ -55,9 +59,10 @@ class TemperatureSeries:
         if temps.min() < TEMP_MIN_C or temps.max() > TEMP_MAX_C:
             raise InputError(
                 f"temperature outside sane range [{TEMP_MIN_C}, {TEMP_MAX_C}] degC")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise InputError(f"dates not strictly increasing at {b}")
+        unordered = np.flatnonzero(np.diff(dates) <= np.timedelta64(0, "D"))
+        if unordered.size:
+            raise InputError(
+                f"dates not strictly increasing at {dates[unordered[0] + 1]}")
         if self.precip is not None:
             precip = np.asarray(self.precip, dtype=float)
             precip.flags.writeable = False
@@ -75,21 +80,38 @@ class TemperatureSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TemperatureSeries):
             return NotImplemented
-        if self.dates != other.dates:
-            return False
-        if not np.array_equal(self.temps, other.temps):
-            return False
-        if (self.precip is None) != (other.precip is None):
-            return False
-        return self.precip is None or np.array_equal(self.precip, other.precip)
+        return (np.array_equal(self.dates, other.dates)
+                and np.array_equal(self.temps, other.temps)
+                and (self.precip is None) == (other.precip is None)
+                and (self.precip is None or np.array_equal(self.precip, other.precip)))
 
 
-def next_calendar_day(d: dt.date) -> dt.date:
-    """The next calendar day, skipping February 29."""
-    n = d + dt.timedelta(days=1)
-    if n.month == 2 and n.day == 29:
-        n += dt.timedelta(days=1)
-    return n
+def is_leap_day(dates) -> np.ndarray:
+    """True where a date falls on February 29."""
+    dates = np.asarray(dates, dtype="datetime64[D]")
+    months = dates.astype("datetime64[M]")
+    return (months.astype(int) % 12 == 1) & (dates - months == np.timedelta64(28, "D"))
+
+
+def leap_free_days(start, n: int) -> np.ndarray:
+    """``n`` consecutive calendar days from ``start``, Feb 29 skipped."""
+    start = np.datetime64(start, "D")
+    if is_leap_day(start):
+        raise InputError(f"start date {start} falls on Feb 29, "
+                         "which the leap-free calendar skips")
+    # n days plus room for every Feb 29 they can straddle.
+    days = np.arange(start, start + n + n // DAYS_PER_YEAR + 2)
+    return days[~is_leap_day(days)][:n]
+
+
+def month_index(dates: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Each day's month id, numbering the calendar-month runs of ordered
+    dates from 0, and the (year, month) of each run."""
+    months = dates.astype("datetime64[M]")
+    starts = np.concatenate(([True], months[1:] != months[:-1]))
+    first = months[starts].astype(int)  # months since 1970-01
+    return (np.cumsum(starts) - 1,
+            list(zip((first // 12 + 1970).tolist(), (first % 12 + 1).tolist())))
 
 
 def parse_csv(text: str) -> TemperatureSeries:
@@ -111,7 +133,7 @@ def parse_csv(text: str) -> TemperatureSeries:
             f"{','.join(header)!r}", line=1)
     has_precip = len(header) == 3
 
-    dates: list[dt.date] = []
+    days: list[int] = []  # date.toordinal(): 0001-01-01 is day 1
     temps: list[float] = []
     precip: list[float] = []
     prev: dt.date | None = None
@@ -135,12 +157,12 @@ def parse_csv(text: str) -> TemperatureSeries:
         temps.append(_parse_number(row[1], "temperature", lineno))
         if has_precip:
             precip.append(_parse_number(row[2], "precipitation", lineno))
-        dates.append(date)
+        days.append(date.toordinal())
 
-    if not dates:
+    if not days:
         raise InputError("no data rows")
     return TemperatureSeries(
-        dates=tuple(dates),
+        dates=np.datetime64("0001-01-01") + np.array(days) - 1,
         temps=np.array(temps),
         precip=np.array(precip) if has_precip else None,
     )
@@ -161,15 +183,13 @@ def _parse_number(fieldtext: str, what: str, lineno: int) -> float:
 
 def serialize_csv(series: TemperatureSeries) -> str:
     """Inverse of :func:`parse_csv`; round-trips exactly."""
-    has_precip = series.precip is not None
+    columns = [map(str, series.dates), map(repr, map(float, series.temps))]
+    if series.precip is not None:
+        columns.append(map(repr, map(float, series.precip)))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER if has_precip else CSV_HEADER[:2])
-    for i, date in enumerate(series.dates):
-        row = [date.isoformat(), repr(float(series.temps[i]))]
-        if has_precip:
-            row.append(repr(float(series.precip[i])))
-        writer.writerow(row)
+    writer.writerow(CSV_HEADER[:len(columns)])
+    writer.writerows(zip(*columns))
     return out.getvalue()
 
 
@@ -180,19 +200,19 @@ def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:
     calendar day with Feb 29 skipped. Any other gap raises InputError.
     Idempotent.
     """
-    keep = [i for i, d in enumerate(series.dates)
-            if not (d.month == 2 and d.day == 29)]
-    dates = tuple(series.dates[i] for i in keep)
+    keep = ~is_leap_day(series.dates)
     stripped = TemperatureSeries(
-        dates=dates,
+        dates=series.dates[keep],
         temps=series.temps[keep],
         precip=None if series.precip is None else series.precip[keep],
     )
-    for a, b in zip(dates, dates[1:]):
-        expected = next_calendar_day(a)
-        if b != expected:
-            raise InputError(
-                f"gap in series: expected {expected} after {a}, got {b}")
+    dates = stripped.dates
+    expected = leap_free_days(dates[0], len(dates))
+    gaps = np.flatnonzero(dates != expected)
+    if gaps.size:
+        i = gaps[0]
+        raise InputError(
+            f"gap in series: expected {expected[i]} after {dates[i - 1]}, got {dates[i]}")
     return stripped
 
 
@@ -200,20 +220,3 @@ def seasonal_basis(t: float) -> tuple[float, float]:
     """(sin, cos) of the annual phase 2*pi*t/365 at day index t."""
     phase = 2.0 * math.pi * t / DAYS_PER_YEAR
     return math.sin(phase), math.cos(phase)
-
-
-def month_slices(series: TemperatureSeries) -> list[tuple[int, int, slice]]:
-    """Consecutive (year, month, slice) runs of the series records.
-
-    Months are contiguous index ranges because the series is date-ordered;
-    for a gap-free series each run covers one calendar month.
-    """
-    out: list[tuple[int, int, slice]] = []
-    start = 0
-    for i in range(1, len(series) + 1):
-        if i == len(series) or (series.dates[i].year, series.dates[i].month) != (
-                series.dates[start].year, series.dates[start].month):
-            d = series.dates[start]
-            out.append((d.year, d.month, slice(start, i)))
-            start = i
-    return out

@@ -5,11 +5,12 @@ The daily recursion is
     T(j+1) = T(j) + [m(j+1) - m(j)] + kappa * (m(j) - T(j)) + sigma_month(j) * Z_j
 
 with m the seasonal mean, a unit day step, and sigma_month piecewise
-constant over months. Monthly volatility follows its own unit-month
-Euler recursion sigma(n) = sigma(n-1) + kappa_sigma*(sigma_bar -
-sigma(n-1)) + sigma_sigma*Z_h, floored at a small epsilon because the
-Gaussian increment admits negative values the temperature equation
-cannot use.
+constant over the calendar months of the leap-free calendar from the
+start date, the months it is estimated on. Monthly volatility follows
+its own unit-month Euler recursion sigma(n) = sigma(n-1) +
+kappa_sigma*(sigma_bar - sigma(n-1)) + sigma_sigma*Z_h, floored at a
+small epsilon because the Gaussian increment admits negative values the
+temperature equation cannot use.
 
 Reproducibility contract: all variates come from numpy's PCG64
 generator; path p is seeded with the sequence [master_seed, p] and draws
@@ -27,13 +28,10 @@ import numpy as np
 
 from .errors import InputError
 from .seasonal import SeasonalMeanParams, evaluate_seasonal_mean
-from .series import TemperatureSeries, next_calendar_day
+from .series import DAYS_PER_YEAR, TemperatureSeries, leap_free_days, month_index
 from .volatility import VolatilityModelParams
 
 VOL_FLOOR = 1e-6
-
-# Month length used when a simulation runs without a calendar.
-BLOCK_MONTH_DAYS = 30
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,6 @@ class SimulationConfig:
     master_seed: int
     t0_temp: float
     sigma0: float | None = None
-    dt_days: float = 1.0
     constant_vol_override: float | None = None
 
     def __post_init__(self):
@@ -51,8 +48,6 @@ class SimulationConfig:
             raise InputError("n_paths and n_days must be >= 1")
         if self.master_seed < 0:
             raise InputError("master_seed must be non-negative")
-        if self.dt_days != 1.0:
-            raise InputError("only a 1-day step is supported")
         if self.constant_vol_override is None:
             if self.sigma0 is not None and self.sigma0 <= 0:
                 raise InputError("sigma0 must be positive")
@@ -91,22 +86,15 @@ def _vol_recursion(vol: VolatilityModelParams, sigma0: np.ndarray,
     return out
 
 
-def _month_index(n_days: int, month_lengths: list[int] | None) -> np.ndarray:
-    if month_lengths is None:
-        return np.arange(n_days) // BLOCK_MONTH_DAYS
-    if sum(month_lengths) < n_days:
-        raise InputError("month_lengths cover fewer days than n_days")
-    return np.repeat(np.arange(len(month_lengths)), month_lengths)[:n_days]
-
-
 def simulate_paths(seasonal: SeasonalMeanParams, kappa,
                    vol: VolatilityModelParams | None, config: SimulationConfig,
-                   month_lengths: list[int] | None = None) -> SimulatedEnsemble:
+                   start) -> SimulatedEnsemble:
     """Simulate a Monte Carlo ensemble of daily temperature paths.
 
     ``kappa`` is the per-day reversion rate (a float or a
-    MeanReversionEstimate). Months switch every 30 simulated days unless
-    ``month_lengths`` supplies a calendar. With
+    MeanReversionEstimate). Simulated day 0 is the date ``start``, and
+    the monthly volatility switches on the calendar months of the
+    leap-free calendar from there. With
     ``config.constant_vol_override`` set, the stochastic volatility layer
     is bypassed and every month uses the override.
     """
@@ -118,7 +106,7 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa,
         raise InputError("volatility parameters required without a constant override")
 
     n_paths, n_days = config.n_paths, config.n_days
-    month_idx = _month_index(n_days, month_lengths)
+    month_idx, _ = month_index(leap_free_days(start, n_days))
     n_months = int(month_idx[-1]) + 1
     sigma0 = config.sigma0
     if sigma0 is None and vol is not None:
@@ -161,30 +149,6 @@ def ensemble_summary(ensemble: SimulatedEnsemble) -> tuple[np.ndarray, np.ndarra
     return ensemble.paths.mean(axis=0), ensemble.paths.std(axis=0, ddof=1)
 
 
-def leap_free_calendar(start_year: int, n_years: int) -> list[dt.date]:
-    """365 dates per year from Jan 1 of start_year, Feb 29 skipped."""
-    if n_years < 1:
-        raise InputError("n_years must be >= 1")
-    dates = []
-    d = dt.date(start_year, 1, 1)
-    for _ in range(365 * n_years):
-        dates.append(d)
-        d = next_calendar_day(d)
-    return dates
-
-
-def calendar_month_lengths(dates) -> list[int]:
-    lengths: list[int] = []
-    prev = None
-    for d in dates:
-        key = (d.year, d.month)
-        if key != prev:
-            lengths.append(0)
-            prev = key
-        lengths[-1] += 1
-    return lengths
-
-
 def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
                               vol: VolatilityModelParams, start_year: int,
                               n_years: int, seed: int,
@@ -197,7 +161,10 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
     seasonal mean at day 0. The result parses/fits like an observed
     series.
     """
-    dates = leap_free_calendar(start_year, n_years)
+    if n_years < 1:
+        raise InputError("n_years must be >= 1")
+    start = dt.date(start_year, 1, 1)
+    dates = leap_free_days(start, DAYS_PER_YEAR * n_years)
     config = SimulationConfig(
         n_paths=1,
         n_days=len(dates),
@@ -207,6 +174,5 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
         sigma0=vol.sigma_bar,
         constant_vol_override=constant_vol_override,
     )
-    ensemble = simulate_paths(seasonal, kappa_t, vol, config,
-                              month_lengths=calendar_month_lengths(dates))
-    return TemperatureSeries(dates=tuple(dates), temps=ensemble.paths[0])
+    ensemble = simulate_paths(seasonal, kappa_t, vol, config, start)
+    return TemperatureSeries(dates=dates, temps=ensemble.paths[0])

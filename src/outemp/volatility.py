@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, InputError
-from .series import TemperatureSeries, month_slices
+from .series import TemperatureSeries, month_index
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class MonthlyVolatilitySeries:
     @property
     def sigmas(self) -> np.ndarray:
         return np.array([e.sigma for e in self.entries])
-
-    def by_month(self) -> dict[tuple[int, int], float]:
-        return {(e.year, e.month): e.sigma for e in self.entries}
 
 
 @dataclass(frozen=True)
@@ -64,17 +61,20 @@ def monthly_quadratic_variation(series: TemperatureSeries) -> MonthlyVolatilityS
     For a month with N days, sigma^2 = sum of the N-1 within-month squared
     first differences divided by N-1.
     """
-    entries = []
-    for year, month, sl in month_slices(series):
-        temps = series.temps[sl]
-        if temps.size < 2:
-            raise InputError(
-                f"month {year}-{month:02d} has {temps.size} observation(s); "
-                "need at least 2")
-        d = np.diff(temps)
-        sigma = math.sqrt(float(np.sum(d * d)) / d.size)
-        entries.append(MonthlyVolatility(year=year, month=month, sigma=sigma))
-    return MonthlyVolatilitySeries(entries=tuple(entries))
+    month_id, months = month_index(series.dates)
+    counts = np.bincount(month_id)
+    if counts.min() < 2:
+        year, month = months[counts.argmin()]
+        raise InputError(f"month {year}-{month:02d} has {counts.min()} "
+                         "observation(s); need at least 2")
+    # Row k is month k padded with its last temperature: its increments
+    # end in zeros and sum in the order of a sum over the month alone.
+    cols = np.minimum(np.arange(counts.max()), counts[:, np.newaxis] - 1)
+    d = np.diff(series.temps[(np.cumsum(counts) - counts)[:, np.newaxis] + cols])
+    sigmas = np.sqrt(np.sum(d * d, axis=1) / (counts - 1))
+    return MonthlyVolatilitySeries(entries=tuple(
+        MonthlyVolatility(year=year, month=month, sigma=sigma)
+        for (year, month), sigma in zip(months, sigmas.tolist())))
 
 
 def estimate_sigma_bar(vols: MonthlyVolatilitySeries) -> float:

@@ -27,7 +27,7 @@ from outemp import (EstimationError, anderson_darling_normal, estimate_kappa_sig
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL, main
 from outemp.meanrev import estimating_function, estimating_terms_scale, transition_weights
 from outemp.seasonal import SeasonalMeanParams, design_matrix, ols_fit, residuals
-from outemp.series import TemperatureSeries, next_calendar_day
+from outemp.series import TemperatureSeries, leap_free_days
 from outemp.simulate import SimulationConfig, simulate_paths
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
@@ -48,11 +48,8 @@ def _gate(num, description, ok):
 
 
 def _series_from_temps(temps, start_year=2001):
-    import datetime as dt
-    dates = [dt.date(start_year, 1, 1)]
-    for _ in range(len(temps) - 1):
-        dates.append(next_calendar_day(dates[-1]))
-    return TemperatureSeries(dates=tuple(dates), temps=np.asarray(temps, float))
+    return TemperatureSeries(dates=leap_free_days(f"{start_year}-01-01", len(temps)),
+                             temps=np.asarray(temps, float))
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +161,7 @@ def test_criterion_06_simulation_stationarity():
     flat = SeasonalMeanParams(26.0, 0.0, 0.0, 0.0, 0.0)
     cfg = SimulationConfig(n_paths=10_000, n_days=501, master_seed=606,
                            t0_temp=26.0, constant_vol_override=sigma)
-    ens = simulate_paths(flat, kappa, None, cfg)
+    ens = simulate_paths(flat, kappa, None, cfg, "2001-01-01")
     target_var = sigma ** 2 / (1 - (1 - kappa) ** 2)
     var = float(ens.cross_path_sd[500] ** 2)
     sem = float(ens.cross_path_sd[500]) / math.sqrt(cfg.n_paths)
@@ -180,7 +177,8 @@ def test_criterion_07_mean_path_convergence(recovery_fits):
     t0 = evaluate_seasonal_mean(report.seasonal, 0) + d0
     cfg = SimulationConfig(n_paths=n_paths, n_days=n_days, master_seed=707,
                            t0_temp=t0, sigma0=report.vol.sigma_bar)
-    ens = simulate_paths(report.seasonal, report.kappa, report.vol, cfg)
+    ens = simulate_paths(report.seasonal, report.kappa, report.vol, cfg,
+                         report.meta.start)
     t = np.arange(n_days)
     expected = (evaluate_seasonal_mean(report.seasonal, t)
                 + d0 * np.exp(-report.kappa.kappa_t * t))
@@ -253,9 +251,9 @@ def test_criterion_10_determinism(tmp_path):
     cfg = dict(n_days=60, master_seed=5, t0_temp=26.0,
                sigma0=rep.vol.sigma_bar)
     small = simulate_paths(rep.seasonal, rep.kappa, rep.vol,
-                           SimulationConfig(n_paths=2, **cfg))
+                           SimulationConfig(n_paths=2, **cfg), rep.meta.start)
     big = simulate_paths(rep.seasonal, rep.kappa, rep.vol,
-                         SimulationConfig(n_paths=6, **cfg))
+                         SimulationConfig(n_paths=6, **cfg), rep.meta.start)
     ok = ok and np.array_equal(big.paths[:2], small.paths)
     _gate(10, "byte-identical reruns and path-count independence", ok)
 

@@ -1,13 +1,34 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from outemp import parse_csv, report_from_dict
+from outemp import evaluate_seasonal_mean, parse_csv, report_from_dict
 from outemp.cli import main
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "fit_4y_seed0.json"
+DELETE = object()
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def edited_report(path, value):
+    """A function that sets (or, with DELETE, removes) one dotted path of
+    the golden report payload."""
+    def edit(report):
+        *parents, key = path.split(".")
+        node = report
+        for k in parents:
+            node = node[k]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+        return report
+    return edit
 
 
 @pytest.fixture()
@@ -96,6 +117,62 @@ class TestSimulate:
         lines = matrix.read_text().strip().splitlines()
         assert lines[0] == "day,path_0,path_1,path_2"
         assert len(lines) == 6
+
+    def test_summary_values_are_plain_floats(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "3",
+                   "--days", "20", "--seed", "1", "--out", str(out)) == 0
+        text = out.read_text()
+        assert "np.float64" not in text
+        for line in text.splitlines()[1:]:
+            day, *values = line.split(",")
+            assert len(values) == 4
+            for v in values:
+                float(v)
+
+    def test_volatility_switches_on_calendar_months(self, tmp_path):
+        report = json.loads(GOLDEN_REPORT.read_text())
+        report["meta"]["start"] = "2001-03-15"
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        matrix = tmp_path / "paths.csv"
+        n_days, seed = 60, 7
+        assert run("simulate", "--report", str(report_path), "--paths", "3",
+                   "--days", str(n_days), "--seed", str(seed),
+                   "--out", str(tmp_path / "e.csv"),
+                   "--full-paths", str(matrix)) == 0
+        paths = np.loadtxt(matrix, delimiter=",", skiprows=1)[:, 1:].T
+        rep = report_from_dict(report)
+        m = evaluate_seasonal_mean(rep.seasonal, np.arange(n_days))
+        kappa = rep.kappa.kappa_t
+        for p, temps in enumerate(paths):
+            # Mar 15 + 60 days spans March, April and May: the path draws
+            # two volatility normals, then its daily normals.
+            rng = np.random.default_rng([seed, p])
+            rng.standard_normal(2)
+            z = rng.standard_normal(n_days - 1)
+            # Invert the Euler step for the sigma of each day.
+            sigma = (np.diff(temps) - np.diff(m) - kappa * (m[:-1] - temps[:-1])) / z
+            switches = np.flatnonzero(~np.isclose(sigma[1:], sigma[:-1], rtol=1e-6))
+            assert (switches + 1).tolist() == [17, 47]   # Apr 1, May 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda report: [report],
+        edited_report("vol.kappa_sigma", DELETE),
+        edited_report("vol.sigma_bar", "0.9"),
+        edited_report("kappa_t", True),
+        edited_report("seasonal.a_t", float("nan")),
+        edited_report("meta.start", "2000-02-29"),
+    ], ids=["top-level-list", "missing-kappa-sigma", "string-sigma-bar",
+            "bool-kappa-t", "nan-a-t", "feb-29-start"])
+    def test_bad_report_exit_2(self, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))
+        rc = run("simulate", "--report", str(bad), "--paths", "2",
+                 "--days", "5", "--out", str(tmp_path / "e.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:")
 
     def test_unknown_schema_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

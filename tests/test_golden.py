@@ -1,0 +1,51 @@
+"""Golden outputs: `synth --years 4 --seed 0` and the `fit` report of that
+series, written once and compared on every run.
+
+The synthetic CSV must match byte for byte. In the report, integers,
+dates, the month list and nulls must match exactly, and every float must
+match to a relative tolerance fixed when the files were written; a
+change that moves a float further is a behaviour change, not noise.
+"""
+
+import json
+from pathlib import Path
+
+from outemp.cli import main
+
+DATA = Path(__file__).parent / "data"
+SYNTH_CSV = DATA / "synth_4y_seed0.csv"
+FIT_REPORT = DATA / "fit_4y_seed0.json"
+RTOL = 1e-12
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every scalar of a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def test_synth_csv_byte_identical(tmp_path):
+    out = tmp_path / "synth.csv"
+    assert main(["synth", "--years", "4", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == SYNTH_CSV.read_bytes()
+
+
+def test_fit_report_matches_golden(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["fit", "--input", str(SYNTH_CSV), "--out", str(out)]) == 0
+    got = dict(_leaves(json.loads(out.read_text())))
+    want = dict(_leaves(json.loads(FIT_REPORT.read_text())))
+    assert list(got) == list(want)
+    for path, w in want.items():
+        g = got[path]
+        assert type(g) is type(w), path
+        if isinstance(w, float):
+            assert abs(g - w) <= RTOL * abs(w), f"{path}: {g!r} vs {w!r}"
+        else:
+            assert g == w, path

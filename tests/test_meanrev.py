@@ -7,22 +7,20 @@ import pytest
 from outemp import (EstimationError, InputError, SeasonalMeanParams,
                     conditional_mean, estimate_kappa)
 from outemp.meanrev import estimating_function, estimating_terms_scale
-from outemp.series import TemperatureSeries, next_calendar_day
+from outemp.series import TemperatureSeries, leap_free_days
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
 FLAT = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def series_from_temps(temps, start=dt.date(2001, 1, 1)):
-    dates = [start]
-    for _ in range(len(temps) - 1):
-        dates.append(next_calendar_day(dates[-1]))
-    return TemperatureSeries(dates=tuple(dates), temps=np.asarray(temps, float))
+    return TemperatureSeries(dates=leap_free_days(start, len(temps)),
+                             temps=np.asarray(temps, float))
 
 
 def constant_vols_for(series, sigma=1.0):
     months = []
-    for d in series.dates:
+    for d in series.dates.tolist():
         if (d.year, d.month) not in months:
             months.append((d.year, d.month))
     return MonthlyVolatilitySeries(entries=tuple(

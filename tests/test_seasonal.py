@@ -8,14 +8,12 @@ from outemp import (EstimationError, SeasonalMeanParams, TemperatureSeries,
                     evaluate_seasonal_mean, fit_seasonal_mean, r_squared,
                     recover_amplitude_phase, residuals)
 from outemp.seasonal import design_matrix, ols_fit
-from outemp.series import next_calendar_day
+from outemp.series import leap_free_days
 
 
 def series_from_temps(temps, start=dt.date(2001, 1, 1)):
-    dates = [start]
-    for _ in range(len(temps) - 1):
-        dates.append(next_calendar_day(dates[-1]))
-    return TemperatureSeries(dates=tuple(dates), temps=np.asarray(temps, float))
+    return TemperatureSeries(dates=leap_free_days(start, len(temps)),
+                             temps=np.asarray(temps, float))
 
 
 def model_series(a, b, c, psi, n, noise=None):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from outemp import InputError, parse_csv, seasonal_basis, serialize_csv, strip_leap_days
-from outemp.series import TemperatureSeries, month_slices, next_calendar_day
+from outemp.series import TemperatureSeries, is_leap_day, leap_free_days, month_index
 
 
 def make_csv(rows, header="date,t_avg_c"):
@@ -96,7 +96,7 @@ class TestStripLeapDays:
     def test_removes_feb_29(self):
         text = make_csv(["2000-02-28,25.0", "2000-02-29,26.0", "2000-03-01,27.0"])
         s = strip_leap_days(parse_csv(text))
-        assert [d.isoformat() for d in s.dates] == ["2000-02-28", "2000-03-01"]
+        assert [d.isoformat() for d in s.dates.tolist()] == ["2000-02-28", "2000-03-01"]
         assert list(s.temps) == [25.0, 27.0]
 
     def test_24_year_count(self):
@@ -113,6 +113,20 @@ class TestStripLeapDays:
         text = make_csv(["2000-01-01,25.0", "2000-01-03,25.0"])
         with pytest.raises(InputError, match="gap.*2000-01-02"):
             strip_leap_days(parse_csv(text))
+
+    @pytest.mark.parametrize("first,second,ok", [
+        ("2000-02-28", "2000-03-01", True),    # leap year, Feb 29 absent
+        ("2001-02-28", "2001-03-02", False),   # two days, no leap day between
+        ("2000-03-01", "2000-03-03", False),
+        ("1900-02-28", "1900-03-01", True),    # 1900 is not a leap year
+    ])
+    def test_two_day_step_only_across_feb_29(self, first, second, ok):
+        s = parse_csv(make_csv([f"{first},25.0", f"{second},25.0"]))
+        if ok:
+            assert strip_leap_days(s) == s
+        else:
+            with pytest.raises(InputError, match="gap"):
+                strip_leap_days(s)
 
 
 class TestSeasonalBasis:
@@ -135,21 +149,30 @@ class TestSeasonalBasis:
         assert abs(s * s + c * c - 1.0) < 1e-12
 
 
-def test_next_calendar_day_skips_feb_29():
-    assert next_calendar_day(dt.date(2000, 2, 28)) == dt.date(2000, 3, 1)
-    assert next_calendar_day(dt.date(2001, 2, 28)) == dt.date(2001, 3, 1)
-    assert next_calendar_day(dt.date(2000, 12, 31)) == dt.date(2001, 1, 1)
+def test_leap_free_days_skips_feb_29():
+    assert leap_free_days(dt.date(2000, 2, 28), 2)[1] == dt.date(2000, 3, 1)
+    assert leap_free_days(dt.date(2001, 2, 28), 2)[1] == dt.date(2001, 3, 1)
+    assert leap_free_days(dt.date(2000, 12, 31), 2)[1] == dt.date(2001, 1, 1)
+    with pytest.raises(InputError, match="Feb 29"):
+        leap_free_days(dt.date(2000, 2, 29), 1)
 
 
-def test_month_slices():
+def test_is_leap_day():
+    days = np.arange(np.datetime64("1896-01-01"), np.datetime64("2105-01-01"))
+    expected = [d.month == 2 and d.day == 29 for d in days.tolist()]
+    assert is_leap_day(days).tolist() == expected
+
+
+def test_month_index():
     s = parse_csv(make_csv(daily_rows(dt.date(2001, 1, 25), 12)))
-    runs = month_slices(s)
-    assert [(y, m) for y, m, _ in runs] == [(2001, 1), (2001, 2)]
-    assert runs[0][2] == slice(0, 7)
-    assert runs[1][2] == slice(7, 12)
+    month_id, months = month_index(s.dates)
+    assert months == [(2001, 1), (2001, 2)]
+    assert month_id.tolist() == [0] * 7 + [1] * 5
 
 
 def test_series_immutable():
     s = parse_csv(make_csv(daily_rows(dt.date(2000, 1, 1), 3)))
     with pytest.raises(ValueError):
         s.temps[0] = 0.0
+    with pytest.raises(ValueError):
+        s.dates[0] = np.datetime64("1999-12-31")

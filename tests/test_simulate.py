@@ -8,12 +8,13 @@ from outemp import (InputError, SeasonalMeanParams, SimulationConfig,
                     evaluate_seasonal_mean, generate_synthetic_series,
                     parse_csv, serialize_csv, simulate_paths,
                     simulate_volatility_months)
-from outemp.simulate import (VOL_FLOOR, SimulatedEnsemble,
-                             calendar_month_lengths, leap_free_calendar)
+from outemp.series import leap_free_days, month_index
+from outemp.simulate import VOL_FLOOR, SimulatedEnsemble
 
 SEASONAL = SeasonalMeanParams(26.4, -7.58e-5, 1.75, 0.531, 0.5062)
 FLAT = SeasonalMeanParams(26.0, 0.0, 0.0, 0.0, 0.0)
 VOL = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=0.419, kappa_sigma=0.989)
+START = dt.date(2001, 1, 1)
 
 
 class TestVolatilitySimulation:
@@ -56,7 +57,7 @@ def config(**kw):
 class TestSimulatePaths:
     def test_zero_noise_on_mean_tracks_mean_function(self):
         cfg = config(constant_vol_override=0.0, sigma0=None)
-        ens = simulate_paths(SEASONAL, 0.1872, None, cfg)
+        ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
         expected = evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
         assert np.allclose(ens.paths, expected[np.newaxis, :], atol=1e-10)
         assert np.allclose(ens.mean_path, expected, atol=1e-10)
@@ -65,37 +66,37 @@ class TestSimulatePaths:
         d0 = 3.0
         cfg = config(n_paths=1, constant_vol_override=0.0, sigma0=None,
                      t0_temp=evaluate_seasonal_mean(SEASONAL, 0) + d0)
-        ens = simulate_paths(SEASONAL, 0.1872, None, cfg)
+        ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
         expected_dev = d0 * (1 - 0.1872) ** np.arange(cfg.n_days)
         dev = ens.paths[0] - evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
         assert np.allclose(dev, expected_dev, atol=1e-9)
 
     def test_bit_identical_reproducibility(self):
         cfg = config(n_paths=8, n_days=200, master_seed=42)
-        a = simulate_paths(SEASONAL, 0.1872, VOL, cfg)
-        b = simulate_paths(SEASONAL, 0.1872, VOL, cfg)
+        a = simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
+        b = simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
         assert np.array_equal(a.paths, b.paths)
 
     def test_paths_use_per_path_substreams(self):
         # Path p's trajectory must not depend on how many paths run.
-        big = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=5))
-        small = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=2))
+        big = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=5), START)
+        small = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=2), START)
         assert np.array_equal(big.paths[:2], small.paths)
 
     def test_mean_path_is_exact_column_mean(self):
-        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=6))
+        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=6), START)
         assert np.array_equal(ens.mean_path, ens.paths.mean(axis=0))
 
     def test_invalid_kappa(self):
         with pytest.raises(InputError):
-            simulate_paths(SEASONAL, 0.0, VOL, config())
+            simulate_paths(SEASONAL, 0.0, VOL, config(), START)
 
     def test_missing_vol_params(self):
         with pytest.raises(InputError):
-            simulate_paths(SEASONAL, 0.1872, None, config())
+            simulate_paths(SEASONAL, 0.1872, None, config(), START)
 
     def test_single_path_has_no_sd(self):
-        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=1))
+        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=1), START)
         assert ens.cross_path_sd is None
 
 
@@ -125,14 +126,15 @@ class TestEnsembleSummary:
 
 class TestSyntheticSeries:
     def test_calendar_is_leap_free(self):
-        dates = leap_free_calendar(2000, 2)
+        dates = leap_free_days(dt.date(2000, 1, 1), 730)
         assert len(dates) == 730
         assert dates[0] == dt.date(2000, 1, 1)
         assert dates[-1] == dt.date(2001, 12, 31)
-        assert not any(d.month == 2 and d.day == 29 for d in dates)
+        assert not any(d.month == 2 and d.day == 29 for d in dates.tolist())
 
     def test_month_lengths_feb_always_28(self):
-        lengths = calendar_month_lengths(leap_free_calendar(2000, 1))
+        month_id, _ = month_index(leap_free_days(dt.date(2000, 1, 1), 365))
+        lengths = np.bincount(month_id).tolist()
         assert lengths == [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 
     def test_zero_override_equals_mean_function(self):
@@ -156,7 +158,7 @@ class TestSyntheticSeries:
         kappa, sigma = 0.1872, 0.877
         cfg = SimulationConfig(n_paths=4000, n_days=301, master_seed=17,
                                t0_temp=26.0, constant_vol_override=sigma)
-        ens = simulate_paths(FLAT, kappa, None, cfg)
+        ens = simulate_paths(FLAT, kappa, None, cfg, START)
         target = sigma ** 2 / (1 - (1 - kappa) ** 2)
         var = ens.cross_path_sd[-1] ** 2
         assert var == pytest.approx(target, rel=0.08)

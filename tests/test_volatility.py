@@ -8,14 +8,12 @@ from outemp import (EstimationError, InputError, MonthlyVolatility,
                     MonthlyVolatilitySeries, VolatilityModelParams,
                     estimate_kappa_sigma, estimate_sigma_bar,
                     estimate_sigma_sigma, monthly_quadratic_variation)
-from outemp.series import TemperatureSeries, next_calendar_day
+from outemp.series import TemperatureSeries, leap_free_days
 
 
 def series_from_temps(temps, start):
-    dates = [start]
-    for _ in range(len(temps) - 1):
-        dates.append(next_calendar_day(dates[-1]))
-    return TemperatureSeries(dates=tuple(dates), temps=np.asarray(temps, float))
+    return TemperatureSeries(dates=leap_free_days(start, len(temps)),
+                             temps=np.asarray(temps, float))
 
 
 def vols_from_sigmas(sigmas):
