@@ -13,7 +13,7 @@ from .seasonal import (OlsSolution, SeasonalMeanParams, evaluate_seasonal_mean,
                        fit_seasonal_mean, recover_amplitude_phase, residuals)
 from .series import (TemperatureSeries, parse_csv, seasonal_basis,
                      serialize_csv, strip_leap_days)
-from .simulate import (SimulatedEnsemble, SimulationConfig, ensemble_summary,
+from .simulate import (SimulatedEnsemble, SimulationConfig,
                        generate_synthetic_series, simulate_paths,
                        simulate_volatility_months)
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
@@ -31,7 +31,7 @@ __all__ = [
     "MonthlyVolatilitySeries", "NormalityTestResult", "OlsSolution",
     "SeasonalMeanParams", "SimulatedEnsemble", "SimulationConfig",
     "TemperatureSeries", "VolatilityModelParams", "anderson_darling_normal",
-    "conditional_mean", "describe", "ensemble_summary", "estimate_kappa",
+    "conditional_mean", "describe", "estimate_kappa",
     "estimate_kappa_sigma", "estimate_sigma_bar", "estimate_sigma_sigma",
     "evaluate_model", "evaluate_seasonal_mean", "fit_full_model",
     "fit_seasonal_mean", "fit_volatility_model", "generate_synthetic_series",

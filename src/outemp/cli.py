@@ -136,25 +136,27 @@ def run_simulate(args) -> int:
     )
     ens = simulate.simulate_paths(report.seasonal, report.kappa, report.vol,
                                   config, report.meta.start)
-    p05 = np.percentile(ens.paths, 5, axis=0)
-    p95 = np.percentile(ens.paths, 95, axis=0)
     sd = (ens.cross_path_sd if ens.cross_path_sd is not None
           else np.zeros(args.days))
     _write_day_rows(args.out, "mean,sd,p05,p95",
-                    np.column_stack((ens.mean_path, sd, p05, p95)))
+                    [(0, np.column_stack((ens.mean_path, sd, ens.p05, ens.p95)))])
     if args.full_paths:
+        # A second pass: the seeding contract makes the replay exact.
         _write_day_rows(args.full_paths,
                         ",".join(f"path_{p}" for p in range(args.paths)),
-                        ens.paths.T)
+                        simulate.day_blocks(report.seasonal, report.kappa,
+                                            report.vol, config, report.meta.start))
     return 0
 
 
-def _write_day_rows(path: str, columns: str, rows) -> None:
-    """A `day,<columns>` CSV of a 2-D array's rows, as plain float reprs."""
+def _write_day_rows(path: str, columns: str, blocks) -> None:
+    """A `day,<columns>` CSV of the rows of ``(first_day, 2-D array)``
+    blocks, as plain float reprs."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"day,{columns}\n")
-        for day, row in enumerate(rows):
-            fh.write(f"{day},{','.join(map(repr, row.tolist()))}\n")
+        for first, rows in blocks:
+            for day, row in enumerate(rows, first):
+                fh.write(f"{day},{','.join(map(repr, row.tolist()))}\n")
 
 
 def run_evaluate(args) -> int:
@@ -240,6 +242,10 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"estimation failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("input error: not enough memory for this ensemble; "
+              "lower --paths or --days", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

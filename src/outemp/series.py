@@ -117,9 +117,9 @@ def month_index(dates: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
 def parse_csv(text: str) -> TemperatureSeries:
     """Parse a `date,t_avg_c[,precip_mm]` CSV into a TemperatureSeries.
 
-    Dates must be ISO-8601 and strictly increasing. Every parse failure
-    raises InputError naming the 1-based line number. Leap days are kept;
-    use :func:`strip_leap_days` before fitting.
+    Dates must be ISO-8601 ``YYYY-MM-DD`` and strictly increasing. Every
+    parse failure raises InputError naming the 1-based line number. Leap
+    days are kept; use :func:`strip_leap_days` before fitting.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -144,8 +144,14 @@ def parse_csv(text: str) -> TemperatureSeries:
         if len(row) != len(header):
             raise InputError(
                 f"expected {len(header)} fields, got {len(row)}", line=lineno)
+        field = row[0].strip()
         try:
-            date = dt.date.fromisoformat(row[0].strip())
+            # Python 3.11's fromisoformat also reads 20000101 and
+            # 2000-W01-1; the length and dashes leave only YYYY-MM-DD,
+            # whose digits it checks on every supported Python.
+            if len(field) != 10 or field[4] != "-" or field[7] != "-":
+                raise ValueError
+            date = dt.date.fromisoformat(field)
         except ValueError:
             raise InputError(f"unparsable date {row[0]!r}", line=lineno) from None
         if prev is not None:

@@ -17,11 +17,20 @@ generator; path p is seeded with the sequence [master_seed, p] and draws
 its monthly volatility normals first, then its daily normals. Ensembles
 are therefore bit-identical across runs and independent of execution
 order.
+
+The kernel is day-major and streaming: :func:`day_blocks` keeps every
+path's generator alive, draws the daily normals of each block of
+BLOCK_DAYS days in turn (drawing a stream in chunks gives the same
+numbers as drawing it at once) and steps all paths one contiguous day
+row at a time. Memory is about n_paths * (BLOCK_DAYS + n_months)
+floats, whatever the number of days; a consumer that needs the whole
+path matrix replays the blocks, which the seeding contract makes exact.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +41,9 @@ from .series import DAYS_PER_YEAR, TemperatureSeries, leap_free_days, month_inde
 from .volatility import VolatilityModelParams
 
 VOL_FLOOR = 1e-6
+
+# Days per block of the streaming kernel.
+BLOCK_DAYS = 365
 
 
 @dataclass(frozen=True)
@@ -57,9 +69,12 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulatedEnsemble:
-    paths: np.ndarray                 # (n_paths, n_days)
+    """Per-day summary of an ensemble across its paths."""
+
     mean_path: np.ndarray             # (n_days,)
     cross_path_sd: np.ndarray | None  # (n_days,), None for a single path
+    p05: np.ndarray                   # (n_days,), numpy's default percentile
+    p95: np.ndarray                   # (n_days,)
 
 
 def simulate_volatility_months(vol: VolatilityModelParams, n_months: int,
@@ -68,35 +83,33 @@ def simulate_volatility_months(vol: VolatilityModelParams, n_months: int,
     sigma_bar unless sigma0 is given."""
     if n_months < 1:
         raise InputError("n_months must be >= 1")
-    z = np.random.default_rng(seed).standard_normal(n_months - 1)
-    start = vol.sigma_bar if sigma0 is None else sigma0
-    return _vol_recursion(vol, np.full(1, start), z[np.newaxis, :])[0]
+    sigma = np.empty((n_months, 1))
+    sigma[0] = vol.sigma_bar if sigma0 is None else sigma0
+    sigma[1:, 0] = np.random.default_rng(seed).standard_normal(n_months - 1)
+    return _vol_recursion(vol, sigma)[:, 0]
 
 
-def _vol_recursion(vol: VolatilityModelParams, sigma0: np.ndarray,
-                   z: np.ndarray) -> np.ndarray:
-    """Vectorized monthly recursion; rows are independent paths."""
-    n_paths, n_steps = z.shape
-    out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = np.maximum(sigma0, VOL_FLOOR)
-    for k in range(n_steps):
-        nxt = (out[:, k] + vol.kappa_sigma * (vol.sigma_bar - out[:, k])
-               + vol.sigma_sigma * z[:, k])
-        out[:, k + 1] = np.maximum(nxt, VOL_FLOOR)
-    return out
+def _vol_recursion(vol: VolatilityModelParams, sigma: np.ndarray) -> np.ndarray:
+    """Monthly recursion in place over a (months, paths) array: row 0
+    holds the starting values and row k >= 1 month k's normals, which
+    are replaced by month k's sigma."""
+    sigma[0] = np.maximum(sigma[0], VOL_FLOOR)
+    for k in range(1, len(sigma)):
+        nxt = (sigma[k - 1] + vol.kappa_sigma * (vol.sigma_bar - sigma[k - 1])
+               + vol.sigma_sigma * sigma[k])
+        sigma[k] = np.maximum(nxt, VOL_FLOOR)
+    return sigma
 
 
-def simulate_paths(seasonal: SeasonalMeanParams, kappa,
-                   vol: VolatilityModelParams | None, config: SimulationConfig,
-                   start) -> SimulatedEnsemble:
-    """Simulate a Monte Carlo ensemble of daily temperature paths.
+def day_blocks(seasonal: SeasonalMeanParams, kappa,
+               vol: VolatilityModelParams | None, config: SimulationConfig,
+               start):
+    """Simulate an ensemble day-major, BLOCK_DAYS days at a time.
 
-    ``kappa`` is the per-day reversion rate (a float or a
-    MeanReversionEstimate). Simulated day 0 is the date ``start``, and
-    the monthly volatility switches on the calendar months of the
-    leap-free calendar from there. With
-    ``config.constant_vol_override`` set, the stochastic volatility layer
-    is bypassed and every month uses the override.
+    Takes the arguments of :func:`simulate_paths` (checked when iteration
+    starts) and yields ``(first_day, block)`` in day order, where
+    ``block`` is a new C-contiguous ``(days_in_block, n_paths)`` array
+    whose row i holds day ``first_day + i`` of every path.
     """
     kappa_t = float(getattr(kappa, "kappa_t", kappa))
     if kappa_t <= 0:
@@ -107,46 +120,95 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa,
 
     n_paths, n_days = config.n_paths, config.n_days
     month_idx, _ = month_index(leap_free_days(start, n_days))
-    n_months = int(month_idx[-1]) + 1
-    sigma0 = config.sigma0
-    if sigma0 is None and vol is not None:
-        sigma0 = vol.sigma_bar
-
-    z_day = np.empty((n_paths, n_days - 1))
-    z_vol = np.empty((n_paths, n_months - 1)) if override is None else None
-    for p in range(n_paths):
-        rng = np.random.default_rng([config.master_seed, p])
-        if override is None:
-            z_vol[p] = rng.standard_normal(n_months - 1)
-        z_day[p] = rng.standard_normal(n_days - 1)
-
+    # Allocated before the generators, so that an ensemble too large for
+    # memory fails here rather than after creating n_paths of them.
+    sigma = np.empty((int(month_idx[-1]) + 1, n_paths))
+    rngs = [np.random.default_rng([config.master_seed, p]) for p in range(n_paths)]
     if override is None:
-        sigma_months = _vol_recursion(vol, np.full(n_paths, sigma0), z_vol)
+        sigma[0] = vol.sigma_bar if config.sigma0 is None else config.sigma0
+        for p, rng in enumerate(rngs):
+            sigma[1:, p] = rng.standard_normal(len(sigma) - 1)
+        _vol_recursion(vol, sigma)
     else:
-        sigma_months = np.full((n_paths, n_months), override)
+        sigma[:] = override
 
-    mean_fn = evaluate_seasonal_mean(seasonal, np.arange(n_days))
-    paths = np.empty((n_paths, n_days))
-    paths[:, 0] = config.t0_temp
-    for j in range(n_days - 1):
-        sigma_j = sigma_months[:, month_idx[j]]
-        paths[:, j + 1] = (paths[:, j]
-                           + (mean_fn[j + 1] - mean_fn[j])
-                           + kappa_t * (mean_fn[j] - paths[:, j])
-                           + sigma_j * z_day[:, j])
+    m = evaluate_seasonal_mean(seasonal, np.arange(n_days))
+    last = config.t0_temp
+    for first in range(0, n_days, BLOCK_DAYS):
+        stop = min(first + BLOCK_DAYS, n_days)
+        # rows[k] is day j0 + k; day j + 1 steps from day j with the
+        # j-th daily normal of each path.
+        j0 = max(first - 1, 0)
+        z = np.empty((n_paths, stop - 1 - j0))
+        for p, rng in enumerate(rngs):
+            rng.standard_normal(out=z[p])
+        noise = sigma[month_idx[j0:stop - 1]]
+        noise *= z.T
+        dm = np.diff(m[j0:stop])
+        rows = np.empty((stop - j0, n_paths))
+        rows[0] = last
+        for k in range(stop - 1 - j0):
+            x = rows[k]
+            rows[k + 1] = x + dm[k] + kappa_t * (m[j0 + k] - x) + noise[k]
+        last = rows[-1].copy()
+        yield first, rows[first - j0:]
 
-    return SimulatedEnsemble(
-        paths=paths,
-        mean_path=paths.mean(axis=0),
-        cross_path_sd=paths.std(axis=0, ddof=1) if n_paths >= 2 else None,
-    )
+
+def simulate_paths(seasonal: SeasonalMeanParams, kappa,
+                   vol: VolatilityModelParams | None, config: SimulationConfig,
+                   start) -> SimulatedEnsemble:
+    """Simulate a Monte Carlo ensemble of daily temperature paths and
+    summarize it per day across paths.
+
+    ``kappa`` is the per-day reversion rate (a float or a
+    MeanReversionEstimate). Simulated day 0 is the date ``start``, and
+    the monthly volatility switches on the calendar months of the
+    leap-free calendar from there. With
+    ``config.constant_vol_override`` set, the stochastic volatility layer
+    is bypassed and every month uses the override.
+
+    The paths are summarized block by block as :func:`day_blocks` yields
+    them and never held whole, so memory is about n_paths * (BLOCK_DAYS
+    + n_months) floats plus four floats per day. Each path draws its
+    monthly volatility normals, then its daily normals, from the
+    generator seeded [master_seed, p]; the summary equals, bit for bit,
+    numpy's mean, std(ddof=1) and percentile over the (n_paths, n_days)
+    path matrix.
+    """
+    n_paths, n_days = config.n_paths, config.n_days
+    mean_path, sd, p05, p95 = (np.empty(n_days) for _ in range(4))
+    for first, block in day_blocks(seasonal, kappa, vol, config, start):
+        days = slice(first, first + len(block))
+        # Reducing a path-major copy over axis 0 adds the paths in index
+        # order, as the whole matrix would; a reduction along the
+        # contiguous axis sums pairwise and rounds differently.
+        by_path = block.T.copy()
+        mean_path[days] = by_path.mean(axis=0)
+        if n_paths >= 2:
+            sd[days] = by_path.std(axis=0, ddof=1)
+        ordered = np.sort(block, axis=1)
+        p05[days] = _sorted_percentile(ordered, 5)
+        p95[days] = _sorted_percentile(ordered, 95)
+    return SimulatedEnsemble(mean_path=mean_path,
+                             cross_path_sd=sd if n_paths >= 2 else None,
+                             p05=p05, p95=p95)
 
 
-def ensemble_summary(ensemble: SimulatedEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """Columnwise mean and sample standard deviation of the path matrix."""
-    if ensemble.paths.shape[0] < 2:
-        raise InputError("cross-path sd needs at least 2 paths")
-    return ensemble.paths.mean(axis=0), ensemble.paths.std(axis=0, ddof=1)
+def _sorted_percentile(ordered: np.ndarray, q: float) -> np.ndarray:
+    """The q-th percentile of each sorted row, with the index and
+    interpolation arithmetic of numpy's default ("linear") method."""
+    n = ordered.shape[1]
+    virtual = (n - 1) * (q / 100)
+    lo = math.floor(virtual)
+    hi = lo + 1
+    if virtual >= n - 1:
+        lo = hi = -1
+    gamma = virtual - lo
+    a, b = ordered[:, lo], ordered[:, hi]
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
 
 
 def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
@@ -163,6 +225,9 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
     """
     if n_years < 1:
         raise InputError("n_years must be >= 1")
+    if start_year < 1 or start_year + n_years - 1 > 9999:
+        raise InputError(f"years {start_year}..{start_year + n_years - 1} "
+                         "outside the ISO date range 1..9999")
     start = dt.date(start_year, 1, 1)
     dates = leap_free_days(start, DAYS_PER_YEAR * n_years)
     config = SimulationConfig(
@@ -175,4 +240,5 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
         constant_vol_override=constant_vol_override,
     )
     ensemble = simulate_paths(seasonal, kappa_t, vol, config, start)
-    return TemperatureSeries(dates=dates, temps=ensemble.paths[0])
+    # The mean of a single path is that path, value for value.
+    return TemperatureSeries(dates=dates, temps=ensemble.mean_path)

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import InputError
 
@@ -97,10 +96,14 @@ def anderson_darling_normal(values) -> NormalityTestResult:
     sd = float(np.std(x, ddof=1))
     if sd == 0.0:
         raise InputError("Anderson-Darling test undefined for zero variance")
+    # Imported here: only this test needs scipy, and importing it at
+    # module level would add its start-up time to every command.
+    from scipy.special import log_ndtr
+
     y = (x - x.mean()) / sd
     i = np.arange(1, n + 1)
     # log CDF / log survival keep the tails finite for extreme samples.
-    a2 = -n - float(np.mean((2 * i - 1) * (norm.logcdf(y) + norm.logsf(y[::-1]))))
+    a2 = -n - float(np.mean((2 * i - 1) * (log_ndtr(y) + log_ndtr(-y[::-1]))))
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n ** 2)
     return NormalityTestResult(a_squared=a2, p_value=_ad_p_value(a2_star))
 

@@ -28,7 +28,7 @@ from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL, main
 from outemp.meanrev import estimating_function, estimating_terms_scale, transition_weights
 from outemp.seasonal import SeasonalMeanParams, design_matrix, ols_fit, residuals
 from outemp.series import TemperatureSeries, leap_free_days
-from outemp.simulate import SimulationConfig, simulate_paths
+from outemp.simulate import SimulationConfig, day_blocks, simulate_paths
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
 TRUTH = {"a_t": 26.4, "b_t": -7.58e-5, "c_t": 1.75, "psi": 0.531,
@@ -250,11 +250,15 @@ def test_criterion_10_determinism(tmp_path):
     rep = report_from_dict(json.loads(report.read_text()))
     cfg = dict(n_days=60, master_seed=5, t0_temp=26.0,
                sigma0=rep.vol.sigma_bar)
-    small = simulate_paths(rep.seasonal, rep.kappa, rep.vol,
-                           SimulationConfig(n_paths=2, **cfg), rep.meta.start)
-    big = simulate_paths(rep.seasonal, rep.kappa, rep.vol,
-                         SimulationConfig(n_paths=6, **cfg), rep.meta.start)
-    ok = ok and np.array_equal(big.paths[:2], small.paths)
+
+    def path_matrix(n_paths):
+        blocks = day_blocks(rep.seasonal, rep.kappa, rep.vol,
+                            SimulationConfig(n_paths=n_paths, **cfg),
+                            rep.meta.start)
+        return np.concatenate([block for _, block in blocks]).T
+
+    small, big = path_matrix(2), path_matrix(6)
+    ok = ok and np.array_equal(big[:2], small)
     _gate(10, "byte-identical reruns and path-count independence", ok)
 
 

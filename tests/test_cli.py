@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from outemp import evaluate_seasonal_mean, parse_csv, report_from_dict
+from outemp import evaluate_seasonal_mean, parse_csv, report_from_dict, simulate
 from outemp.cli import main
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "fit_4y_seed0.json"
@@ -60,6 +63,16 @@ class TestDescribe:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run("describe", "--input", str(tmp_path / "nope.csv")) == 2
+
+    @pytest.mark.parametrize("date", ["20000102", "2000-W01-2"],
+                             ids=["basic-format", "week-date"])
+    def test_only_yyyy_mm_dd_dates(self, tmp_path, capsys, date):
+        # Python 3.11's date.fromisoformat reads both forms; 3.10 reads neither.
+        f = tmp_path / "bad.csv"
+        f.write_text(f"date,t_avg_c\n2000-01-01,25.0\n{date},26.0\n")
+        assert run("describe", "--input", str(f)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: line 3")
 
 
 class TestFit:
@@ -174,6 +187,17 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error:")
 
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(simulate, "simulate_paths", out_of_memory)
+        rc = run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "2",
+                 "--days", "5", "--out", str(tmp_path / "e.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:")
+        assert "--paths" in err[0] and "--days" in err[0]
+
     def test_unknown_schema_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"meta": {"schema_version": 99}}))
@@ -217,6 +241,20 @@ class TestSynth:
         expected = evaluate_seasonal_mean(DEFAULT_SEASONAL, np.arange(365))
         assert np.allclose(series.temps, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("argv", [["--start-year", "0"],
+                                      ["--start-year", "9999", "--years", "2"]],
+                             ids=["year-0", "past-9999"])
+    def test_years_outside_iso_range_exit_2(self, tmp_path, capsys, argv):
+        assert run("synth", *argv, "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:")
+
+    def test_last_iso_year(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("synth", "--start-year", "9999", "--years", "1",
+                   "--out", str(out)) == 0
+        assert str(parse_csv(out.read_text()).dates[-1]) == "9999-12-31"
+
     def test_from_report(self, small_synth, tmp_path):
         report_path = tmp_path / "report.json"
         run("fit", "--input", str(small_synth), "--out", str(report_path))
@@ -224,3 +262,15 @@ class TestSynth:
         assert run("synth", "--report", str(report_path), "--years", "2",
                    "--seed", "1", "--out", str(out)) == 0
         assert len(parse_csv(out.read_text())) == 730
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only the Anderson-Darling test needs scipy; simulate and synth never
+    # run it, so importing the CLI must not pay for scipy.
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, outemp.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

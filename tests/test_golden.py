@@ -1,7 +1,9 @@
-"""Golden outputs: `synth --years 4 --seed 0` and the `fit` report of that
-series, written once and compared on every run.
+"""Golden outputs: `synth --years 4 --seed 0`, the `fit` report of that
+series, and `simulate --paths 5 --days 1100 --seed 3 --full-paths` from
+that report, written once and compared on every run.
 
-The synthetic CSV must match byte for byte. In the report, integers,
+The synthetic and simulated CSVs must match byte for byte; 1100 days
+span several simulation blocks and end in a partial one. In the report, integers,
 dates, the month list and nulls must match exactly, and every float must
 match to a relative tolerance fixed when the files were written; a
 change that moves a float further is a behaviour change, not noise.
@@ -15,6 +17,8 @@ from outemp.cli import main
 DATA = Path(__file__).parent / "data"
 SYNTH_CSV = DATA / "synth_4y_seed0.csv"
 FIT_REPORT = DATA / "fit_4y_seed0.json"
+SIM_SUMMARY = DATA / "simulate_5p_1100d_seed3.csv"
+SIM_PATHS = DATA / "simulate_5p_1100d_seed3_paths.csv"
 RTOL = 1e-12
 
 
@@ -49,3 +53,12 @@ def test_fit_report_matches_golden(tmp_path):
             assert abs(g - w) <= RTOL * abs(w), f"{path}: {g!r} vs {w!r}"
         else:
             assert g == w, path
+
+
+def test_simulate_csvs_byte_identical(tmp_path):
+    summary, paths = tmp_path / "summary.csv", tmp_path / "paths.csv"
+    assert main(["simulate", "--report", str(FIT_REPORT), "--paths", "5",
+                 "--days", "1100", "--seed", "3", "--out", str(summary),
+                 "--full-paths", str(paths)]) == 0
+    assert summary.read_bytes() == SIM_SUMMARY.read_bytes()
+    assert paths.read_bytes() == SIM_PATHS.read_bytes()

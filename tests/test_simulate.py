@@ -1,15 +1,16 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from outemp import (InputError, SeasonalMeanParams, SimulationConfig,
-                    VolatilityModelParams, ensemble_summary,
-                    evaluate_seasonal_mean, generate_synthetic_series,
-                    parse_csv, serialize_csv, simulate_paths,
-                    simulate_volatility_months)
+                    VolatilityModelParams, evaluate_seasonal_mean,
+                    generate_synthetic_series, parse_csv, serialize_csv,
+                    simulate_paths, simulate_volatility_months)
+from outemp import simulate
 from outemp.series import leap_free_days, month_index
-from outemp.simulate import VOL_FLOOR, SimulatedEnsemble
+from outemp.simulate import VOL_FLOOR, day_blocks
 
 SEASONAL = SeasonalMeanParams(26.4, -7.58e-5, 1.75, 0.531, 0.5062)
 FLAT = SeasonalMeanParams(26.0, 0.0, 0.0, 0.0, 0.0)
@@ -54,38 +55,83 @@ def config(**kw):
     return SimulationConfig(**base)
 
 
+def path_matrix(*args):
+    """The C-ordered (n_paths, n_days) path matrix stacked from day_blocks."""
+    return np.ascontiguousarray(
+        np.concatenate([block for _, block in day_blocks(*args)]).T)
+
+
 class TestSimulatePaths:
     def test_zero_noise_on_mean_tracks_mean_function(self):
         cfg = config(constant_vol_override=0.0, sigma0=None)
         ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
+        paths = path_matrix(SEASONAL, 0.1872, None, cfg, START)
         expected = evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
-        assert np.allclose(ens.paths, expected[np.newaxis, :], atol=1e-10)
+        assert np.allclose(paths, expected[np.newaxis, :], atol=1e-10)
         assert np.allclose(ens.mean_path, expected, atol=1e-10)
 
     def test_zero_noise_deviation_decay(self):
         d0 = 3.0
         cfg = config(n_paths=1, constant_vol_override=0.0, sigma0=None,
                      t0_temp=evaluate_seasonal_mean(SEASONAL, 0) + d0)
-        ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
+        paths = path_matrix(SEASONAL, 0.1872, None, cfg, START)
         expected_dev = d0 * (1 - 0.1872) ** np.arange(cfg.n_days)
-        dev = ens.paths[0] - evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
+        dev = paths[0] - evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
         assert np.allclose(dev, expected_dev, atol=1e-9)
 
     def test_bit_identical_reproducibility(self):
         cfg = config(n_paths=8, n_days=200, master_seed=42)
-        a = simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
-        b = simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
-        assert np.array_equal(a.paths, b.paths)
+        a = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
+        b = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
+        assert np.array_equal(a, b)
 
     def test_paths_use_per_path_substreams(self):
         # Path p's trajectory must not depend on how many paths run.
-        big = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=5), START)
-        small = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=2), START)
-        assert np.array_equal(big.paths[:2], small.paths)
+        big = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=5), START)
+        small = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=2), START)
+        assert np.array_equal(big[:2], small)
 
     def test_mean_path_is_exact_column_mean(self):
         ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=6), START)
-        assert np.array_equal(ens.mean_path, ens.paths.mean(axis=0))
+        paths = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=6), START)
+        assert np.array_equal(ens.mean_path, paths.mean(axis=0))
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 20])
+    def test_summary_equals_numpy_over_path_matrix(self, n_paths):
+        # 800 days: two full blocks and a partial one.
+        cfg = config(n_paths=n_paths, n_days=800, master_seed=9)
+        ens = simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
+        paths = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
+        assert np.array_equal(ens.p05, np.percentile(paths, 5, axis=0))
+        assert np.array_equal(ens.p95, np.percentile(paths, 95, axis=0))
+        assert np.array_equal(ens.mean_path, paths.mean(axis=0))
+        if n_paths >= 2:
+            assert np.array_equal(ens.cross_path_sd, paths.std(axis=0, ddof=1))
+
+    def test_blocks_are_contiguous_day_rows(self):
+        cfg = config(n_paths=3, n_days=800)
+        blocks = list(day_blocks(SEASONAL, 0.1872, VOL, cfg, START))
+        assert [first for first, _ in blocks] == [0, 365, 730]
+        assert [b.shape for _, b in blocks] == [(365, 3), (365, 3), (70, 3)]
+        assert all(b.flags.c_contiguous for _, b in blocks)
+
+    def test_block_length_does_not_change_paths(self, monkeypatch):
+        # Drawing each path's normals in chunks replays its one-shot stream.
+        cfg = config(n_paths=4, n_days=400)
+        whole = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
+        monkeypatch.setattr(simulate, "BLOCK_DAYS", 7)
+        assert np.array_equal(path_matrix(SEASONAL, 0.1872, VOL, cfg, START), whole)
+
+    def test_memory_bounded_by_paths_not_days(self):
+        # A (500, 20000) matrix of paths alone would take 80 MB.
+        cfg = config(n_paths=500, n_days=20_000)
+        tracemalloc.start()
+        try:
+            simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_invalid_kappa(self):
         with pytest.raises(InputError):
@@ -102,26 +148,19 @@ class TestSimulatePaths:
 
 class TestEnsembleSummary:
     def test_identical_paths_zero_sd(self):
-        paths = np.tile(np.arange(5.0), (2, 1))
-        ens = SimulatedEnsemble(paths=paths, mean_path=paths.mean(axis=0),
-                                cross_path_sd=paths.std(axis=0, ddof=1))
-        mean, sd = ensemble_summary(ens)
-        assert np.all(sd == 0.0)
+        cfg = config(constant_vol_override=0.0, sigma0=None)
+        ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
+        assert np.all(ens.cross_path_sd == 0.0)
+        assert np.array_equal(ens.p05, ens.mean_path)
+        assert np.array_equal(ens.p95, ens.mean_path)
 
     def test_hand_computation(self):
-        x = np.arange(4.0)
-        paths = np.vstack([x, x + 2.0])
-        ens = SimulatedEnsemble(paths=paths, mean_path=paths.mean(axis=0),
-                                cross_path_sd=paths.std(axis=0, ddof=1))
-        mean, sd = ensemble_summary(ens)
-        assert np.allclose(mean, x + 1.0)
-        assert np.allclose(sd, np.sqrt(2.0))
-
-    def test_single_path_rejected(self):
-        ens = SimulatedEnsemble(paths=np.zeros((1, 4)),
-                                mean_path=np.zeros(4), cross_path_sd=None)
-        with pytest.raises(InputError):
-            ensemble_summary(ens)
+        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(), START)
+        lo, hi = np.sort(path_matrix(SEASONAL, 0.1872, VOL, config(), START), axis=0)
+        assert np.allclose(ens.mean_path, (lo + hi) / 2)
+        assert np.allclose(ens.cross_path_sd, (hi - lo) / np.sqrt(2.0))
+        assert np.allclose(ens.p05, lo + 0.05 * (hi - lo))
+        assert np.allclose(ens.p95, lo + 0.95 * (hi - lo))
 
 
 class TestSyntheticSeries:
