@@ -14,8 +14,7 @@ from .seasonal import (OlsSolution, SeasonalMeanParams, evaluate_seasonal_mean,
 from .series import (TemperatureSeries, parse_csv, seasonal_basis,
                      serialize_csv, strip_leap_days)
 from .simulate import (SimulatedEnsemble, SimulationConfig,
-                       generate_synthetic_series, simulate_paths,
-                       simulate_volatility_months)
+                       generate_synthetic_series, simulate_paths)
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
                     anderson_darling_normal, describe, mape, r_squared, rmse)
 from .volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
@@ -38,5 +37,5 @@ __all__ = [
     "mape", "monthly_quadratic_variation", "parse_csv", "r_squared",
     "recover_amplitude_phase", "report_from_dict", "report_to_dict",
     "residuals", "rmse", "seasonal_basis", "serialize_csv", "simulate_paths",
-    "simulate_volatility_months", "strip_leap_days", "with_metrics",
+    "strip_leap_days", "with_metrics",
 ]

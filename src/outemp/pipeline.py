@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from .errors import InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
 from .seasonal import SeasonalMeanParams, fit_seasonal_mean, residuals
-from .series import TemperatureSeries, is_leap_day
+from .series import TemperatureSeries, is_leap_day, parse_iso_date
 from .simulate import SimulationConfig, simulate_paths
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
                     anderson_darling_normal, describe, fit_metrics)
@@ -228,8 +228,8 @@ def report_from_dict(d: dict) -> FitReport:
                 r_squared=metrics["r2"])),
             meta=ReportMeta(
                 n_obs=d["meta"]["n_obs"],
-                start=dt.date.fromisoformat(d["meta"]["start"]),
-                end=dt.date.fromisoformat(d["meta"]["end"]),
+                start=parse_iso_date(d["meta"]["start"]),
+                end=parse_iso_date(d["meta"]["end"]),
                 leap_days_removed=d["meta"]["leap_days_removed"],
                 eval_seed=d["meta"]["eval_seed"],
             ),

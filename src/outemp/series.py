@@ -114,6 +114,16 @@ def month_index(dates: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
             list(zip((first // 12 + 1970).tolist(), (first % 12 + 1).tolist())))
 
 
+def parse_iso_date(text: str) -> dt.date:
+    """The date written ``YYYY-MM-DD``; ValueError for any other text."""
+    # Python 3.11's fromisoformat also reads 20000101 and 2000-W01-1; the
+    # length and dashes leave only YYYY-MM-DD, whose digits it checks on
+    # every supported Python.
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def parse_csv(text: str) -> TemperatureSeries:
     """Parse a `date,t_avg_c[,precip_mm]` CSV into a TemperatureSeries.
 
@@ -144,14 +154,8 @@ def parse_csv(text: str) -> TemperatureSeries:
         if len(row) != len(header):
             raise InputError(
                 f"expected {len(header)} fields, got {len(row)}", line=lineno)
-        field = row[0].strip()
         try:
-            # Python 3.11's fromisoformat also reads 20000101 and
-            # 2000-W01-1; the length and dashes leave only YYYY-MM-DD,
-            # whose digits it checks on every supported Python.
-            if len(field) != 10 or field[4] != "-" or field[7] != "-":
-                raise ValueError
-            date = dt.date.fromisoformat(field)
+            date = parse_iso_date(row[0].strip())
         except ValueError:
             raise InputError(f"unparsable date {row[0]!r}", line=lineno) from None
         if prev is not None:
@@ -189,14 +193,12 @@ def _parse_number(fieldtext: str, what: str, lineno: int) -> float:
 
 def serialize_csv(series: TemperatureSeries) -> str:
     """Inverse of :func:`parse_csv`; round-trips exactly."""
-    columns = [map(str, series.dates), map(repr, map(float, series.temps))]
+    # Dates and float reprs never need CSV quoting.
+    columns = [series.dates.astype(str).tolist(), map(repr, series.temps.tolist())]
     if series.precip is not None:
-        columns.append(map(repr, map(float, series.precip)))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER[:len(columns)])
-    writer.writerows(zip(*columns))
-    return out.getvalue()
+        columns.append(map(repr, series.precip.tolist()))
+    lines = [",".join(CSV_HEADER[:len(columns)]), *map(",".join, zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
 def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:

@@ -176,8 +176,11 @@ class TestSimulate:
         edited_report("kappa_t", True),
         edited_report("seasonal.a_t", float("nan")),
         edited_report("meta.start", "2000-02-29"),
+        edited_report("meta.start", "20000101"),
+        edited_report("meta.start", "2000-W01-1"),
     ], ids=["top-level-list", "missing-kappa-sigma", "string-sigma-bar",
-            "bool-kappa-t", "nan-a-t", "feb-29-start"])
+            "bool-kappa-t", "nan-a-t", "feb-29-start", "basic-format-start",
+            "week-date-start"])
     def test_bad_report_exit_2(self, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))

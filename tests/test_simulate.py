@@ -7,10 +7,10 @@ import pytest
 from outemp import (InputError, SeasonalMeanParams, SimulationConfig,
                     VolatilityModelParams, evaluate_seasonal_mean,
                     generate_synthetic_series, parse_csv, serialize_csv,
-                    simulate_paths, simulate_volatility_months)
+                    simulate_paths)
 from outemp import simulate
 from outemp.series import leap_free_days, month_index
-from outemp.simulate import VOL_FLOOR, day_blocks
+from outemp.simulate import VOL_FLOOR, _vol_recursion, day_blocks
 
 SEASONAL = SeasonalMeanParams(26.4, -7.58e-5, 1.75, 0.531, 0.5062)
 FLAT = SeasonalMeanParams(26.0, 0.0, 0.0, 0.0, 0.0)
@@ -18,34 +18,39 @@ VOL = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=0.419, kappa_sigma=0.98
 START = dt.date(2001, 1, 1)
 
 
+def vol_path(vol, n_months, seed, sigma0=None):
+    """One monthly volatility path from sigma0 (default sigma_bar), driven
+    by default_rng(seed)'s first n_months - 1 normals."""
+    sigma = np.empty((n_months, 1))
+    sigma[0] = vol.sigma_bar if sigma0 is None else sigma0
+    sigma[1:, 0] = np.random.default_rng(seed).standard_normal(n_months - 1)
+    return _vol_recursion(vol, sigma)[:, 0]
+
+
 class TestVolatilitySimulation:
     def test_deterministic_fixed_point(self):
         vol = VolatilityModelParams(0.877, 1e-12, 0.989)
-        path = simulate_volatility_months(vol, 12, seed=0)
+        path = vol_path(vol, 12, seed=0)
         assert np.allclose(path, 0.877, atol=1e-9)
 
     def test_deviation_decays_by_one_minus_kappa(self):
         vol = VolatilityModelParams(0.877, 1e-300, 0.989)
-        path = simulate_volatility_months(vol, 4, seed=0, sigma0=1.877)
+        path = vol_path(vol, 4, seed=0, sigma0=1.877)
         dev = path - 0.877
         assert dev[0] == pytest.approx(1.0)
         assert dev[1] == pytest.approx(0.011, abs=1e-12)
         assert dev[2] == pytest.approx(0.011 ** 2, abs=1e-12)
 
     def test_long_run_mean(self):
-        path = simulate_volatility_months(VOL, 10_000, seed=123)
+        path = vol_path(VOL, 10_000, seed=123)
         # Law of large numbers; allow a few sigma of Monte Carlo error
         # (the floor adds a small positive bias).
         assert path.mean() == pytest.approx(0.877, abs=0.03)
 
     def test_floor_rarely_engaged(self):
-        path = simulate_volatility_months(VOL, 10_000, seed=7)
+        path = vol_path(VOL, 10_000, seed=7)
         assert np.all(path >= VOL_FLOOR)
         assert np.mean(path == VOL_FLOOR) < 0.05
-
-    def test_n_months_validated(self):
-        with pytest.raises(InputError):
-            simulate_volatility_months(VOL, 0, seed=0)
 
 
 def config(**kw):
@@ -132,6 +137,17 @@ class TestSimulatePaths:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    @pytest.mark.parametrize("override", [None, 0.0, 1.3])
+    @pytest.mark.parametrize("start", [START, dt.date(2003, 3, 17)])
+    @pytest.mark.parametrize("n_days", [1, 2, 365, 366, 1100])
+    def test_one_path_equals_first_column(self, n_days, start, override):
+        # One path steps Python floats, three step numpy rows.
+        def stacked(n_paths):
+            cfg = config(n_paths=n_paths, n_days=n_days, master_seed=5,
+                         constant_vol_override=override)
+            return path_matrix(SEASONAL, 0.1872, VOL, cfg, start)
+        assert np.array_equal(stacked(1)[0], stacked(3)[0])
 
     def test_invalid_kappa(self):
         with pytest.raises(InputError):
