@@ -166,6 +166,9 @@ def run_evaluate(args) -> int:
                                       seed=args.seed)
     print(json.dumps({"rmse": metrics.rmse, "mape_pct": metrics.mape_pct,
                       "r2": metrics.r_squared}, indent=2))
+    if metrics.mape_pct is None:
+        print("note: MAPE undefined: an observation is exactly 0 degC; "
+              "use rmse and r2", file=sys.stderr)
     return 0
 
 

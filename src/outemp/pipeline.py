@@ -90,7 +90,8 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
     """RMSE/MAPE/R^2 of the observations against the mean simulated path.
 
     The ensemble runs over the observed span with calendar-month
-    volatility switching; T(0) defaults to the first observation.
+    volatility switching; T(0) defaults to the first observation. MAPE is
+    None when an observation is exactly 0.
     """
     if n_paths < 2:
         raise InputError("evaluation needs at least 2 paths")
@@ -176,7 +177,8 @@ def report_to_dict(report: FitReport) -> dict:
 
 
 # Report fields that may be null; other scalars but the dates are numbers.
-_NULLABLE = {"skewness", "excess_kurtosis", "precipitation", "metrics", "eval_seed"}
+_NULLABLE = {"skewness", "excess_kurtosis", "precipitation", "metrics",
+             "mape_pct", "eval_seed"}
 
 
 def _check_scalars(node, key: str) -> None:

@@ -130,30 +130,114 @@ def parse_csv(text: str) -> TemperatureSeries:
     Dates must be ISO-8601 ``YYYY-MM-DD`` and strictly increasing. Every
     parse failure raises InputError naming the 1-based line number. Leap
     days are kept; use :func:`strip_leap_days` before fitting.
+
+    A well-formed file is read by columns (:func:`_parse_columns`). Any
+    file that path declines, which includes every bad one, is read again
+    row by row with the ``csv`` module (:func:`_parse_rows`), which finds
+    the first bad line. Both read dates by :func:`parse_iso_date`'s rules
+    and numbers with ``float`` after ``strip``, so a file the columnar
+    path accepts gives the same series row by row.
     """
-    reader = csv.reader(io.StringIO(text))
+    columns = _parse_columns(text)
+    days, temps, precip = columns if columns is not None else _parse_rows(text)
+    return TemperatureSeries(
+        dates=np.datetime64("0001-01-01") + np.asarray(days) - 1,
+        temps=temps, precip=precip)
+
+
+def _parse_header(fields: list[str]) -> int | None:
+    """The column count of a valid header row, else None."""
+    header = [h.strip() for h in fields]
+    if header in (list(CSV_HEADER[:2]), list(CSV_HEADER)):
+        return len(header)
+    return None
+
+
+def _parse_columns(text: str):
+    """``(days, temps, precip)`` of a well-formed CSV, else None.
+
+    Days are ``date.toordinal()`` values. Without quotes or carriage
+    returns the ``csv`` module reads a line as the text between its
+    commas, so the fields are taken by one split of the whole body, after
+    checking, on a byte array, that every line has exactly as many
+    fields as the header. Each column is then converted in one pass. The
+    result is None whenever anything is off, and then only the
+    row-by-row reader says what: a quote, carriage return or non-ASCII
+    character anywhere, a bad header, no rows, a blank line between
+    rows, a wrong field count, a field longer than the ``csv`` module
+    reads, a value that does not convert, a non-finite number or dates
+    that do not strictly increase.
+    """
+    if '"' in text or "\r" in text or not text.isascii():
+        return None
+    header, _, body = text.partition("\n")
+    width = _parse_header(header.split(","))
+    # The csv module skips blank lines, so trailing ones change nothing.
+    body = body.rstrip("\n") + "\n"
+    if width is None or body == "\n":
+        return None
+    raw = np.frombuffer(body.encode("ascii"), np.uint8)
+    at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    # Every line must be width - 1 commas and then a newline.
+    row_ends = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
+    if at.size % width or np.any(raw[at].reshape(-1, width) != row_ends):
+        return None
+    if max(at[0], np.diff(at).max(initial=0) - 1) > csv.field_size_limit():
+        return None
+    fields = body[:-1].replace("\n", ",").split(",")
+    dates = fields[0::width]
+    if not _plain_iso_dates(dates):
+        return None
+    n = len(dates)
     try:
-        header = next(reader)
+        days = np.fromiter(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)),
+                           np.int64, n)
+        values = [np.fromiter(map(float, map(str.strip, fields[k::width])), float, n)
+                  for k in range(1, width)]
+    except ValueError:
+        return None
+    if not (np.all(np.diff(days) > 0) and all(np.all(np.isfinite(v)) for v in values)):
+        return None
+    return days, values[0], values[1] if width == 3 else None
+
+
+def _plain_iso_dates(fields: list[str]) -> bool:
+    """True if every field is 10 characters with dashes at 4 and 7 and a
+    digit at each end: :func:`parse_iso_date` checks the first two, and
+    the ends show ``strip`` would change nothing. For such fields
+    ``parse_iso_date(field.strip())`` is ``date.fromisoformat(field)``."""
+    joined = "".join(fields)
+    dashes = "-" * len(fields)
+    return (set(map(len, fields)) == {10} and joined[4::10] == dashes
+            and joined[7::10] == dashes and joined[0::10].isdigit()
+            and joined[9::10].isdigit())
+
+
+def _parse_rows(text: str):
+    """``(days, temps, precip)`` of the CSV, read row by row; raises the
+    InputError, with its line number, of the first bad line."""
+    rows = _csv_rows(text)
+    try:
+        _, header = next(rows)
     except StopIteration:
         raise InputError("empty input, expected header", line=1) from None
-    header = [h.strip() for h in header]
-    if header not in (list(CSV_HEADER[:2]), list(CSV_HEADER)):
+    width = _parse_header(header)
+    if width is None:
         raise InputError(
             "expected header 'date,t_avg_c[,precip_mm]', got "
-            f"{','.join(header)!r}", line=1)
-    has_precip = len(header) == 3
+            f"{','.join(h.strip() for h in header)!r}", line=1)
+    has_precip = width == 3
 
     days: list[int] = []  # date.toordinal(): 0001-01-01 is day 1
     temps: list[float] = []
     precip: list[float] = []
     prev: dt.date | None = None
-    for row in reader:
-        lineno = reader.line_num
+    for lineno, row in rows:
         if not row:
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise InputError(
-                f"expected {len(header)} fields, got {len(row)}", line=lineno)
+                f"expected {width} fields, got {len(row)}", line=lineno)
         try:
             date = parse_iso_date(row[0].strip())
         except ValueError:
@@ -171,11 +255,18 @@ def parse_csv(text: str) -> TemperatureSeries:
 
     if not days:
         raise InputError("no data rows")
-    return TemperatureSeries(
-        dates=np.datetime64("0001-01-01") + np.array(days) - 1,
-        temps=np.array(temps),
-        precip=np.array(precip) if has_precip else None,
-    )
+    return days, temps, precip if has_precip else None
+
+
+def _csv_rows(text: str):
+    """(line number, fields) of each row the ``csv`` module reads; its
+    errors, such as an overlong field, become InputError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise InputError(f"unreadable CSV: {exc}", line=reader.line_num) from None
 
 
 def _parse_number(fieldtext: str, what: str, lineno: int) -> float:

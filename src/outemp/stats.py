@@ -1,5 +1,12 @@
 """Descriptive statistics, composite-normal Anderson-Darling test, and
-fit metrics (RMSE, MAPE, R^2)."""
+fit metrics (RMSE, MAPE, R^2).
+
+Only numpy and the standard library are needed. The Anderson-Darling
+test takes its log normal CDF and log survival function from one
+``math.erfc`` per point and an asymptotic series in the far tail (see
+:func:`_log_ndtr_both`), so no command pays for importing scipy. The
+tests check them against ``scipy.special.log_ndtr``.
+"""
 
 from __future__ import annotations
 
@@ -42,8 +49,11 @@ class NormalityTestResult:
 
 @dataclass(frozen=True)
 class FitMetrics:
+    """``mape_pct`` is None where MAPE is undefined: some observation is
+    exactly 0."""
+
     rmse: float
-    mape_pct: float
+    mape_pct: float | None
     r_squared: float
 
 
@@ -87,7 +97,9 @@ def anderson_darling_normal(values) -> NormalityTestResult:
     2.25/n^2), and the p-value comes from the Stephens piecewise
     exponential approximation for the composite-normal case. p-values are
     clipped to [0, 1]; values below ~1e-3 are outside the approximation's
-    resolution and render as "< 0.001" in reports.
+    resolution and render as "< 0.001" in reports. From A2* ~ 153.5, the
+    minimum of the approximation, the p-value stays at that minimum
+    (~2e-190).
     """
     x = np.sort(np.asarray(values, dtype=float))
     n = x.size
@@ -96,21 +108,63 @@ def anderson_darling_normal(values) -> NormalityTestResult:
     sd = float(np.std(x, ddof=1))
     if sd == 0.0:
         raise InputError("Anderson-Darling test undefined for zero variance")
-    # Imported here: only this test needs scipy, and importing it at
-    # module level would add its start-up time to every command.
-    from scipy.special import log_ndtr
-
     y = (x - x.mean()) / sd
     i = np.arange(1, n + 1)
-    # log CDF / log survival keep the tails finite for extreme samples.
-    a2 = -n - float(np.mean((2 * i - 1) * (log_ndtr(y) + log_ndtr(-y[::-1]))))
+    log_cdf, log_sf = _log_ndtr_both(y)
+    # Logs of the CDF and survival keep the tails finite for extreme samples.
+    a2 = -n - float(np.mean((2 * i - 1) * (log_cdf + log_sf[::-1])))
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / n ** 2)
     return NormalityTestResult(a_squared=a2, p_value=_ad_p_value(a2_star))
 
 
+# log Phi(-a) comes from the asymptotic series from here out, as in scipy:
+# erfc(a/sqrt(2)) loses precision as it nears underflow (a ~ 37.5).
+_FAR_TAIL = 20.0
+_FAR_TAIL_TERMS = 10    # at a = 20 the 10th term is below 1e-17
+
+
+def _log_ndtr_both(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Phi(y) and log Phi(-y), the log normal CDF at y and at -y.
+
+    One q = erfc(|y|/sqrt(2))/2 = Phi(-|y|) per point gives both sides:
+    log Phi(|y|) = log1p(-q), and log Phi(-|y|) = log(q) while |y| < 20.
+    From |y| = 20 out, log Phi(-|y|) is the asymptotic series of
+    Abramowitz & Stegun 26.2.12.
+    """
+    a = np.abs(y)
+    q = 0.5 * np.fromiter(map(math.erfc, (a * math.sqrt(0.5)).tolist()),
+                          float, a.size)
+    near = a < _FAR_TAIL
+    lower = np.empty_like(q)
+    np.log(q, out=lower, where=near)
+    lower[~near] = _log_ndtr_far_tail(a[~near])
+    upper = np.log1p(-q)
+    below = y < 0
+    return np.where(below, lower, upper), np.where(below, upper, lower)
+
+
+def _log_ndtr_far_tail(a: np.ndarray) -> np.ndarray:
+    """log Phi(-a) for a >= 20: phi(a)/a (1 - 1/a^2 + 1*3/a^4 - ...)."""
+    inv_a2 = 1.0 / (a * a)
+    total = np.ones_like(a)
+    term = np.ones_like(a)
+    for k in range(1, _FAR_TAIL_TERMS + 1):
+        term *= -(2 * k - 1) * inv_a2
+        total += term
+    return (-0.5 * a * a - np.log(a) - 0.5 * math.log(2 * math.pi)
+            + np.log(total))
+
+
+# The exponent of the A2* >= 0.6 branch is a parabola with its minimum
+# here. Past it the approximation would rise back towards 1 (and overflow
+# from A2* ~ 400), so larger statistics keep the p-value of the minimum.
+_AD_P_MIN_AT = 5.709 / (2 * 0.0186)
+
+
 def _ad_p_value(a2_star: float) -> float:
     if a2_star >= 0.6:
-        p = math.exp(1.2937 - 5.709 * a2_star + 0.0186 * a2_star ** 2)
+        a = min(a2_star, _AD_P_MIN_AT)
+        p = math.exp(1.2937 - 5.709 * a + 0.0186 * a ** 2)
     elif a2_star > 0.34:
         p = math.exp(0.9177 - 4.279 * a2_star - 1.38 * a2_star ** 2)
     elif a2_star > 0.2:
@@ -161,8 +215,10 @@ def r_squared(obs, pred) -> float:
 
 
 def fit_metrics(obs, pred) -> FitMetrics:
-    return FitMetrics(rmse=rmse(obs, pred), mape_pct=mape(obs, pred),
-                      r_squared=r_squared(obs, pred))
+    o, p = _paired(obs, pred)
+    return FitMetrics(rmse=rmse(o, p),
+                      mape_pct=mape(o, p) if np.all(o != 0.0) else None,
+                      r_squared=r_squared(o, p))
 
 
 def format_p_value(p: float) -> str:

@@ -55,6 +55,21 @@ class TestDescribe:
         assert payload["n_obs"] == 3
         assert payload["temperature"]["mean"] == 25.0
 
+    def test_dry_station_precipitation(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        days = np.arange(np.datetime64("2000-01-01"), np.datetime64("2008-01-01"))
+        rain = np.where(rng.random(days.size) < 0.3, 5.0, 0.0)
+        rows = [f"{d},{t!r},{r!r}" for d, t, r in
+                zip(days.astype(str).tolist(),
+                    rng.normal(10.0, 5.0, days.size).tolist(), rain.tolist())]
+        f = tmp_path / "station.csv"
+        f.write_text("date,t_avg_c,precip_mm\n" + "\n".join(rows) + "\n")
+        out_json = tmp_path / "describe.json"
+        assert run("describe", "--input", str(f), "--out", str(out_json)) == 0
+        assert "Precipitation" in capsys.readouterr().out
+        normality = json.loads(out_json.read_text())["precipitation_normality"]
+        assert normality["reject_at_5pct"]
+
     def test_bad_date_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"
         f.write_text("date,t_avg_c\n2000-01-01,25.0\nnope,26.0\n")
@@ -220,6 +235,21 @@ class TestEvaluate:
         assert payload["rmse"] > 0
 
 
+    def test_exact_zero_observation_reports_null_mape(self, small_synth, capsys):
+        lines = small_synth.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",0.0"
+        small_synth.write_text("\n".join(lines) + "\n")
+        rc = run("evaluate", "--input", str(small_synth), "--paths", "20",
+                 "--seed", "4")
+        captured = capsys.readouterr()
+        assert rc == 0
+        payload = json.loads(captured.out)
+        assert payload["mape_pct"] is None
+        assert payload["rmse"] > 0 and payload["r2"] > 0
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("note: MAPE undefined")
+
+
 class TestSynth:
     def test_round_trips_into_parser(self, small_synth):
         series = parse_csv(small_synth.read_text())
@@ -265,6 +295,30 @@ class TestSynth:
         assert run("synth", "--report", str(report_path), "--years", "2",
                    "--seed", "1", "--out", str(out)) == 0
         assert len(parse_csv(out.read_text())) == 730
+
+
+def test_no_command_needs_scipy(tmp_path):
+    code = """if True:
+        import json, sys
+        sys.modules["scipy"] = None   # any scipy import now raises ImportError
+        from outemp.cli import main
+        commands = [
+            ["synth", "--years", "4", "--seed", "0", "--out", "s.csv"],
+            ["describe", "--input", "s.csv", "--out", "d.json"],
+            ["fit", "--input", "s.csv", "--out", "r.json"],
+            ["evaluate", "--input", "s.csv", "--paths", "20"],
+            ["simulate", "--report", "r.json", "--paths", "20", "--days", "400",
+             "--out", "e.csv"],
+        ]
+        print(json.dumps([main(argv) for argv in commands]))
+    """
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         cwd=tmp_path, capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0, 0]
+    assert json.loads((tmp_path / "d.json").read_text())["temperature_normality"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -6,6 +6,7 @@ from outemp import (EstimationError, evaluate_model, evaluate_seasonal_mean,
                     report_from_dict, report_to_dict, with_metrics)
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
 from outemp.errors import InputError
+from outemp.stats import FitMetrics
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,13 @@ class TestReportSerialization:
         d = report_to_dict(report)
         assert d["metrics"]["rmse"] == metrics.rmse
         assert d["meta"]["eval_seed"] == 5
+        assert report_to_dict(report_from_dict(d)) == d
+
+    def test_null_mape_accepted(self, synthetic_report):
+        d = report_to_dict(synthetic_report)
+        d["metrics"] = {"rmse": 1.5, "mape_pct": None, "r2": 0.4}
+        assert report_from_dict(d).metrics == FitMetrics(
+            rmse=1.5, mape_pct=None, r_squared=0.4)
         assert report_to_dict(report_from_dict(d)) == d
 
     def test_unknown_schema_version_rejected(self, synthetic_report):

@@ -1,12 +1,14 @@
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outemp import InputError, parse_csv, seasonal_basis, serialize_csv, strip_leap_days
+from outemp import series as series_module
 from outemp.series import TemperatureSeries, is_leap_day, leap_free_days, month_index
 
 
@@ -86,6 +88,174 @@ class TestParseCsv:
         rows = ["2000-01-01,25.125,0.0", "2000-01-02,24.5,3.25"]
         s = parse_csv(make_csv(rows, header="date,t_avg_c,precip_mm"))
         assert parse_csv(serialize_csv(s)) == s
+
+    def test_quoted_crlf_file_reads_like_plain(self):
+        plain = make_csv(["2000-01-01,25.0", "2000-01-02,-1.5"])
+        quoted = plain.replace("25.0", '"25.0"').replace("\n", "\r\n")
+        assert series_module._parse_columns(quoted) is None
+        assert parse_csv(quoted) == parse_csv(plain)
+
+    def test_padded_fields_accepted(self):
+        text = make_csv([" 2000-01-01 ,\t25.0 ", "2000-01-02, 26.0"])
+        assert list(parse_csv(text).temps) == [25.0, 26.0]
+
+    def test_oversized_field_names_line(self):
+        text = make_csv(["2000-01-01,25.0", "2000-01-02," + " " * 200_000 + "1.0"])
+        with pytest.raises(InputError, match="line 3"):
+            parse_csv(text)
+
+
+def reference_parse(text):
+    """parse_csv with the columnar path switched off: every file is read
+    row by row."""
+    with mock.patch.object(series_module, "_parse_columns", return_value=None):
+        return parse_csv(text)
+
+
+def outcome(parse, text):
+    """The series a parser returns, or the message (with its line) of the
+    InputError it raises."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+number_texts = st.one_of(
+    st.floats(-90, 60).map(repr),
+    st.floats(-90, 60).map(lambda x: f"{x:.1f}"),
+    st.integers(-90, 60).map(str),
+    st.sampled_from(["0", "-0.0", "1e1", ".5", "5.", "+3.25", "1_0", "2.5E-3"]),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows) of a valid CSV: increasing dates, in-range
+    temperatures and non-negative precipitation, in varied number forms."""
+    width = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 25))
+    day = draw(st.dates(dt.date(1, 1, 1), dt.date(9000, 12, 31)))
+    rows = []
+    for _ in range(n):
+        row = [day.isoformat(), draw(number_texts)]
+        if width == 3:
+            row.append(draw(number_texts.filter(lambda t: not t.startswith("-"))))
+        rows.append(row)
+        day += dt.timedelta(days=draw(st.integers(1, 3)))
+    return list(series_module.CSV_HEADER[:width]), rows
+
+
+def render(header, rows, ending="\n"):
+    return ending.join(",".join(r) for r in [header, *rows]) + ending
+
+
+ROW_MUTATIONS = ["blank_line", "pad_header", "extra_field", "missing_field",
+                 "wrapped_row", "duplicate_date", "out_of_order_date"]
+# name -> (which fields it may edit, new text from old text and a draw)
+FIELD_MUTATIONS = {
+    "quote": ("any", lambda f, draw: f'"{f}"'),
+    "quote_inside": ("any", lambda f, draw: f[:1] + '"' + f[1:]),
+    "pad": ("any", lambda f, draw: draw(
+        st.sampled_from([" ", "\t", "\u2003", "\x1c"])) * 2 + f + " "),
+    "empty": ("any", lambda f, draw: ""),
+    "lone_cr": ("number", lambda f, draw: f + "\r"),
+    "non_finite": ("number", lambda f, draw: draw(
+        st.sampled_from(["nan", "inf", "-inf", "NaN", " Infinity"]))),
+    "underscore": ("number", lambda f, draw: draw(
+        st.sampled_from(["1_0", "1__0", "_1"]))),
+    "out_of_range": ("number", lambda f, draw: "99.0"),
+    "basic_date": ("date", lambda f, draw: f.replace("-", "")),
+    "week_date": ("date", lambda f, draw: "2000-W01-1"),
+}
+MUTATIONS = sorted(ROW_MUTATIONS + list(FIELD_MUTATIONS))
+
+
+def mutate(name, header, rows, draw):
+    """Apply one named mutation, at drawn places, to a (header, rows)
+    table in place."""
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    if name == "blank_line":
+        rows.insert(i, [])
+    elif name == "pad_header":
+        k = draw(st.integers(0, len(header) - 1))
+        header[k] = f" {header[k]}\t"
+    elif not row:
+        return
+    elif name == "extra_field":
+        row.append("1.0")
+    elif name == "missing_field":
+        row.pop()
+    elif name == "wrapped_row":
+        # The next row's first field moves to the end of this row: the
+        # fields, read without line breaks, are the same.
+        if i + 1 < len(rows) and rows[i + 1]:
+            row.append(rows[i + 1].pop(0))
+    elif name in ("duplicate_date", "out_of_order_date"):
+        back = 1 if name == "duplicate_date" else 2
+        if len(rows) > back:
+            i = draw(st.integers(back, len(rows) - 1))
+            if rows[i] and rows[i - back]:
+                rows[i][0] = rows[i - back][0]
+    else:
+        where, edit = FIELD_MUTATIONS[name]
+        first = 1 if where == "number" else 0
+        last = 0 if where == "date" else len(row) - 1
+        if first <= last:
+            k = draw(st.integers(first, last))
+            row[k] = edit(row[k], draw)
+
+
+class TestColumnarParser:
+    @given(csv_tables())
+    def test_valid_files_take_the_columnar_path(self, table):
+        text = render(*table)
+        assert series_module._parse_columns(text) is not None
+        assert parse_csv(text) == reference_parse(text)
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(csv_tables(), st.lists(st.sampled_from(MUTATIONS), max_size=2),
+           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.data())
+    def test_matches_row_reader(self, mutation, table, more, ending, trailing, data):
+        header, rows = table
+        for name in [mutation, *more]:
+            mutate(name, header, rows, data.draw)
+        text = render(header, rows, ending)
+        if not trailing:
+            text = text[:-len(ending)]
+        assert outcome(parse_csv, text) == outcome(reference_parse, text)
+
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n",
+        "date,t_avg_c\n",
+        "date,t_avg_c,precip_mm\n2000-01-01,1.0\r,2.0\n2000-01-02,1.0,2.0\n",
+        "date,t_avg_c\n2000-01-01,1.0\r2000-01-02,2.0\n",
+        'date,t_avg_c\n2000-01-01,"1,0"\n',
+        'date,t_avg_c\n2000-01-01,"1.0\n2000-01-02",2.0\n',
+        "date,t_avg_c\n2000-01-01,1.0\x00\n",
+        "\ufeffdate,t_avg_c\n2000-01-01,1.0\n",
+        "date,t_avg_c\n2000-01-01,\x1c1.0\u2003\n",
+        "date,t_avg_c\n\u20032000-01-01,1.0\n",
+        "date,t_avg_c\n2000-01-01,1.0,\n",
+        "date,t_avg_c\n 2000-01-01,1.0\n2000-01-01,2.0\n",
+        "date,t_avg_c\n2000-02-30,1.0\n",
+        "date,t_avg_c\n0000-01-01,1.0\n",
+        "date,t_avg_c\n2000-01-01,1.0\n \n",
+        "date,t_avg_c\n2000-01-01,1.0,2000-01-02\n3.0\n",
+        "date,t_avg_c\n2000-01-01,1.0\n\n2000-01-02,2.0\n",
+        "date,t_avg_c\n2000-01-01,1.0\n2000-01-02,2.0\n\n\n",
+        "date,t_avg_c\n2000-01-01,\u0661\u0662\n",
+    ], ids=["empty", "newline", "header-only", "lone-cr-mid-row", "lone-cr-row-end",
+            "quoted-comma", "quoted-newline", "nul", "bom", "unicode-pad-number",
+            "unicode-pad-date", "trailing-comma", "padded-duplicate", "feb-30",
+            "year-0", "space-line", "wrapped-row", "blank-line", "trailing-blank-lines",
+            "arabic-digits"])
+    def test_edge_cases_match_row_reader(self, text):
+        assert outcome(parse_csv, text) == outcome(reference_parse, text)
 
 
 class TestStripLeapDays:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from outemp import InputError, anderson_darling_normal, describe, mape, r_squared, rmse
-from outemp.stats import fit_metrics, format_p_value
+from outemp.stats import _ad_p_value, _log_ndtr_both, fit_metrics, format_p_value
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -85,6 +85,43 @@ class TestAndersonDarling:
         assert res.reject_at_5pct == (res.p_value < 0.05)
 
 
+    def test_point_beyond_erfc_underflow_keeps_a_squared_finite(self):
+        # The outlier standardizes to about 65 sd, where erfc underflows
+        # to 0 and only the far-tail series gives its log CDF.
+        x = np.append(np.random.default_rng(8).standard_normal(8759), 90.0)
+        res = anderson_darling_normal(x)
+        assert np.isfinite(res.a_squared)
+        assert res.reject_at_5pct
+
+    def test_p_value_never_rises_with_a_squared(self):
+        p = [_ad_p_value(a) for a in np.linspace(0.0, 5000.0, 50_001)]
+        assert np.all(np.diff(p) <= 0.0)
+        assert 0.0 < p[-1] < 1e-180
+
+    def test_mostly_zero_sample_has_a_p_value(self):
+        # A dry station's precipitation: A2 is in the thousands.
+        rng = np.random.default_rng(2)
+        x = np.where(rng.random(8760) < 0.3, rng.gamma(0.8, 6.0, 8760), 0.0)
+        res = anderson_darling_normal(x)
+        assert res.a_squared > 1000 and res.reject_at_5pct
+
+
+class TestLogNdtr:
+    def test_matches_scipy_on_grid(self):
+        special = pytest.importorskip("scipy.special")
+        # Steps of 0.001 over [-60, 60] cover log1p(-q), log(q), the
+        # far-tail series from |y| = 20 out, and both tails of each.
+        y = np.arange(-60_000, 60_001) / 1000.0
+        assert {-20.0, 20.0} <= set(y.tolist())
+        log_cdf, log_sf = _log_ndtr_both(y)
+        # Below the smallest normal double (|y| > 37.5 on the upper side)
+        # both are subnormal and keep no relative precision.
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(log_cdf, special.log_ndtr(y), rtol=1e-12, atol=tiny)
+        np.testing.assert_allclose(log_sf, special.log_ndtr(-y), rtol=1e-12, atol=tiny)
+        assert np.all(np.isfinite(log_cdf)) and np.all(np.isfinite(log_sf))
+
+
 class TestMetrics:
     def test_rmse_identity(self):
         assert rmse([1, 2, 3], [1, 2, 3]) == 0.0
@@ -130,6 +167,12 @@ class TestMetrics:
         m = fit_metrics([10.0, 20.0], [11.0, 18.0])
         assert m.mape_pct == pytest.approx(10.0)
         assert m.rmse == pytest.approx(np.sqrt(2.5))
+
+    def test_fit_metrics_mape_none_for_zero_observation(self):
+        m = fit_metrics([0.0, 20.0], [1.0, 18.0])
+        assert m.mape_pct is None
+        assert m.rmse == pytest.approx(np.sqrt(2.5))
+        assert m.r_squared == r_squared([0.0, 20.0], [1.0, 18.0])
 
 
 def test_format_p_value():
