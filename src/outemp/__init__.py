@@ -9,10 +9,9 @@ from .errors import EstimationError, InputError
 from .meanrev import MeanReversionEstimate, conditional_mean, estimate_kappa
 from .pipeline import (FitReport, evaluate_model, fit_full_model,
                        report_from_dict, report_to_dict, with_metrics)
-from .seasonal import (OlsSolution, SeasonalMeanParams, evaluate_seasonal_mean,
-                       fit_seasonal_mean, recover_amplitude_phase, residuals)
-from .series import (TemperatureSeries, parse_csv, seasonal_basis,
-                     serialize_csv, strip_leap_days)
+from .seasonal import (SeasonalMeanParams, evaluate_seasonal_mean, fit_seasonal_mean,
+                       recover_amplitude_phase, residuals)
+from .series import TemperatureSeries, parse_csv, serialize_csv, strip_leap_days
 from .simulate import (SimulatedEnsemble, SimulationConfig,
                        generate_synthetic_series, simulate_paths)
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DescriptiveSummary", "EstimationError", "FitMetrics", "FitReport",
     "InputError", "MeanReversionEstimate", "MonthlyVolatility",
-    "MonthlyVolatilitySeries", "NormalityTestResult", "OlsSolution",
+    "MonthlyVolatilitySeries", "NormalityTestResult",
     "SeasonalMeanParams", "SimulatedEnsemble", "SimulationConfig",
     "TemperatureSeries", "VolatilityModelParams", "anderson_darling_normal",
     "conditional_mean", "describe", "estimate_kappa",
@@ -36,6 +35,6 @@ __all__ = [
     "fit_seasonal_mean", "fit_volatility_model", "generate_synthetic_series",
     "mape", "monthly_quadratic_variation", "parse_csv", "r_squared",
     "recover_amplitude_phase", "report_from_dict", "report_to_dict",
-    "residuals", "rmse", "seasonal_basis", "serialize_csv", "simulate_paths",
+    "residuals", "rmse", "serialize_csv", "simulate_paths",
     "strip_leap_days", "with_metrics",
 ]

@@ -314,8 +314,3 @@ def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:
             f"gap in series: expected {expected[i]} after {dates[i - 1]}, got {dates[i]}")
     return stripped
 
-
-def seasonal_basis(t: float) -> tuple[float, float]:
-    """(sin, cos) of the annual phase 2*pi*t/365 at day index t."""
-    phase = 2.0 * math.pi * t / DAYS_PER_YEAR
-    return math.sin(phase), math.cos(phase)

@@ -22,8 +22,10 @@ The kernel is day-major and streaming: :func:`day_blocks` keeps every
 path's generator alive, draws the daily normals of each block of
 BLOCK_DAYS days in turn (drawing a stream in chunks gives the same
 numbers as drawing it at once) and steps all paths one contiguous day
-row at a time. Memory is about n_paths * (BLOCK_DAYS + n_months)
-floats, whatever the number of days; a consumer that needs the whole
+row at a time. Memory is ``sigma`` (n_paths * n_months floats), one
+reused (n_paths, BLOCK_DAYS) normals buffer and the rows of the block
+being yielded, whatever the number of days; :func:`simulate_paths` adds
+one more block-sized summary buffer. A consumer that needs the whole
 path matrix replays the blocks, which the seeding contract makes exact.
 
 A one-path ensemble (every synthetic series) steps Python floats
@@ -129,6 +131,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     # Allocated before the generators, so that an ensemble too large for
     # memory fails here rather than after creating n_paths of them.
     sigma = np.empty((int(month_idx[-1]) + 1, n_paths))
+    z = np.empty((n_paths, min(BLOCK_DAYS, n_days)))
     rngs = [np.random.default_rng([config.master_seed, p]) for p in range(n_paths)]
     if override is None:
         sigma[0] = vol.sigma_bar if config.sigma0 is None else config.sigma0
@@ -143,29 +146,34 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     for first in range(0, n_days, BLOCK_DAYS):
         stop = min(first + BLOCK_DAYS, n_days)
         # rows[k] is day j0 + k; day j + 1 steps from day j with the
-        # j-th daily normal of each path.
+        # j-th daily normal of each path, so rows[1:] first holds the
+        # noise of the n_steps steps.
         j0 = max(first - 1, 0)
-        z = np.empty((n_paths, stop - 1 - j0))
+        n_steps = stop - 1 - j0
         for p, rng in enumerate(rngs):
-            rng.standard_normal(out=z[p])
-        noise = sigma[month_idx[j0:stop - 1]]
-        noise *= z.T
-        dm = np.diff(m[j0:stop])
+            rng.standard_normal(out=z[p, :n_steps])
         rows = np.empty((stop - j0, n_paths))
         rows[0] = last
+        # The indices are in range; mode="raise" would gather into a hidden copy.
+        np.take(sigma, month_idx[j0:stop - 1], axis=0, out=rows[1:], mode="clip")
+        rows[1:] *= z[:, :n_steps].T
+        dm = np.diff(m[j0:stop])
         if n_paths == 1:
             x = rows[0, 0].item()
             steps = [x]
             for dm_k, m_k, noise_k in zip(dm.tolist(), m[j0:stop - 1].tolist(),
-                                          noise[:, 0].tolist()):
+                                          rows[1:, 0].tolist()):
                 x = _euler_day(x, dm_k, m_k, kappa_t, noise_k)
                 steps.append(x)
             rows[:, 0] = steps
         else:
-            for k in range(stop - 1 - j0):
-                rows[k + 1] = _euler_day(rows[k], dm[k], m[j0 + k], kappa_t, noise[k])
+            for k in range(n_steps):
+                rows[k + 1] = _euler_day(rows[k], dm[k], m[j0 + k], kappa_t, rows[k + 1])
         last = rows[-1].copy()
         yield first, rows[first - j0:]
+        # Without this reference a block the consumer has released is
+        # freed before the next one is allocated.
+        del rows
 
 
 def simulate_paths(seasonal: SeasonalMeanParams, kappa,
@@ -182,27 +190,35 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa,
     is bypassed and every month uses the override.
 
     The paths are summarized block by block as :func:`day_blocks` yields
-    them and never held whole, so memory is about n_paths * (BLOCK_DAYS
-    + n_months) floats plus four floats per day. Each path draws its
-    monthly volatility normals, then its daily normals, from the
-    generator seeded [master_seed, p]; the summary equals, bit for bit,
-    numpy's mean, std(ddof=1) and percentile over the (n_paths, n_days)
-    path matrix.
+    them and never held whole, so memory is ``sigma`` (n_paths *
+    n_months floats), the normals buffer, the rows of one block and one
+    path-major summary buffer of n_paths * BLOCK_DAYS floats, plus four
+    floats per day. Each path draws its monthly volatility normals, then
+    its daily normals, from the generator seeded [master_seed, p]; the
+    summary equals, bit for bit, numpy's mean, std(ddof=1) and
+    percentile over the (n_paths, n_days) path matrix.
     """
     n_paths, n_days = config.n_paths, config.n_days
     mean_path, sd, p05, p95 = (np.empty(n_days) for _ in range(4))
+    buffer = np.empty(n_paths * min(BLOCK_DAYS, n_days))
     for first, block in day_blocks(seasonal, kappa, vol, config, start):
         days = slice(first, first + len(block))
         # Reducing a path-major copy over axis 0 adds the paths in index
         # order, as the whole matrix would; a reduction along the
-        # contiguous axis sums pairwise and rounds differently.
-        by_path = block.T.copy()
-        mean_path[days] = by_path.mean(axis=0)
+        # contiguous axis sums pairwise and rounds differently. The mean
+        # and sd are numpy's own _mean and _var steps, done in place.
+        by_path = buffer[:block.size].reshape(n_paths, len(block))
+        by_path[...] = block.T
+        mean = np.add.reduce(by_path, axis=0) / n_paths
+        mean_path[days] = mean
         if n_paths >= 2:
-            sd[days] = by_path.std(axis=0, ddof=1)
-        ordered = np.sort(block, axis=1)
-        p05[days] = _sorted_percentile(ordered, 5)
-        p95[days] = _sorted_percentile(ordered, 95)
+            by_path -= mean
+            np.multiply(by_path, by_path, out=by_path)
+            sd[days] = np.sqrt(np.add.reduce(by_path, axis=0) / (n_paths - 1))
+        block.sort(axis=1)
+        p05[days] = _sorted_percentile(block, 5)
+        p95[days] = _sorted_percentile(block, 95)
+        del block   # released before day_blocks allocates the next
     return SimulatedEnsemble(mean_path=mean_path,
                              cross_path_sd=sd if n_paths >= 2 else None,
                              p05=p05, p95=p95)

@@ -32,10 +32,6 @@ class DescriptiveSummary:
     max: float
     n: int
 
-    @property
-    def moments_defined(self) -> bool:
-        return self.skewness is not None
-
 
 @dataclass(frozen=True)
 class NormalityTestResult:

@@ -101,10 +101,14 @@ class TestSimulatePaths:
         paths = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=6), START)
         assert np.array_equal(ens.mean_path, paths.mean(axis=0))
 
-    @pytest.mark.parametrize("n_paths", [1, 2, 3, 20])
-    def test_summary_equals_numpy_over_path_matrix(self, n_paths):
-        # 800 days: two full blocks and a partial one.
-        cfg = config(n_paths=n_paths, n_days=800, master_seed=9)
+    # 800 days: two full blocks and a partial one. 1000 paths take the
+    # 5th and 95th percentiles between sorted indices 49/50 and 949/950,
+    # and make the in-place sd sum over many paths.
+    @pytest.mark.parametrize("n_paths, n_days", [
+        pytest.param(n, d, id=str(n))
+        for n, d in [(1, 800), (2, 800), (3, 800), (20, 800), (1000, 400)]])
+    def test_summary_equals_numpy_over_path_matrix(self, n_paths, n_days):
+        cfg = config(n_paths=n_paths, n_days=n_days, master_seed=9)
         ens = simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
         paths = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
         assert np.array_equal(ens.p05, np.percentile(paths, 5, axis=0))
@@ -137,6 +141,26 @@ class TestSimulatePaths:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+    def test_three_block_buffers(self):
+        # The kernel holds sigma, the generators and three block-sized
+        # buffers: the normals, the rows being yielded and the summary's
+        # path-major copy. A fourth would add 2.92 MB and break the bound.
+        n_paths, n_days = 1000, 800
+        n_months = int(month_index(leap_free_days(START, n_days))[0][-1]) + 1
+        bound = (n_months * n_paths * 8                        # sigma
+                 + n_paths * 1500                              # generators, ~930 B each
+                 + 3 * n_paths * simulate.BLOCK_DAYS * 8       # block buffers
+                 + 500_000)                                    # per-day arrays, temporaries
+        # numpy's one-time set-up on its first generators is not the kernel's.
+        simulate_paths(SEASONAL, 0.1872, VOL, config(n_days=1), START)
+        tracemalloc.start()
+        try:
+            simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=n_paths, n_days=n_days), START)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("override", [None, 0.0, 1.3])
     @pytest.mark.parametrize("start", [START, dt.date(2003, 3, 17)])

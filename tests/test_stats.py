@@ -25,7 +25,6 @@ class TestDescribe:
         assert d.sd == 0.0
         assert d.skewness is None
         assert d.excess_kurtosis is None
-        assert not d.moments_defined
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
