@@ -155,8 +155,10 @@ def _write_day_rows(path: str, columns: str, blocks) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"day,{columns}\n")
         for first, rows in blocks:
-            for day, row in enumerate(rows, first):
-                fh.write(f"{day},{','.join(map(repr, row.tolist()))}\n")
+            fh.writelines(f"{day},{','.join(map(repr, row.tolist()))}\n"
+                          for day, row in enumerate(rows, first))
+            # Released before the blocks' source makes the next block.
+            del rows
 
 
 def run_evaluate(args) -> int:

@@ -58,15 +58,6 @@ def estimating_function(resid: np.ndarray, weights: np.ndarray,
     return float(np.sum(weights * r_prev * (r_next - r_prev * math.exp(-kappa))))
 
 
-def estimating_terms_scale(resid: np.ndarray, weights: np.ndarray,
-                           kappa: float) -> float:
-    """Sum of term magnitudes of the estimating sum; tolerance scale for
-    the zero check."""
-    r_prev = resid[:-1]
-    r_next = resid[1:]
-    return float(np.sum(np.abs(weights * r_prev * (r_next - r_prev * math.exp(-kappa)))))
-
-
 def transition_weights(series: TemperatureSeries,
                        vols: MonthlyVolatilitySeries) -> np.ndarray:
     """1 / sigma^2(month of day j-1) for each transition j; ``vols`` must

@@ -7,6 +7,12 @@ The day index ``t`` is the 0-based position within the leap-stripped
 series, and the seasonal phase of index t is 2*pi*t/365 with no leap
 adjustment. Volatility is constant within the calendar months that
 :func:`month_index` numbers, for fitting and simulation alike.
+
+Every calendar question is answered from one integer civil calendar:
+:func:`_civil` turns ``datetime64[D]`` day numbers into year, month and
+day arrays with a dozen integer operations (Hinnant's days-to-civil).
+Leap days, month numbering and the date text that :func:`serialize_csv`
+writes all come from it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ TEMP_MIN_C = -90.0
 TEMP_MAX_C = 60.0
 
 CSV_HEADER = ("date", "t_avg_c", "precip_mm")
+
+# (column in YYYY-MM-DD, place value in the integer YYYYMMDD) of each digit.
+_DATE_DIGITS = tuple(zip((0, 1, 2, 3, 5, 6, 8, 9), [10 ** k for k in range(7, -1, -1)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +95,25 @@ class TemperatureSeries:
                 and (self.precip is None or np.array_equal(self.precip, other.precip)))
 
 
+def _civil(dates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(year, month, day) integer arrays of ``datetime64[D]`` dates, by
+    Howard Hinnant's days-to-civil algorithm on the proleptic Gregorian
+    calendar."""
+    z = np.asarray(dates, dtype="datetime64[D]").astype(np.int64) + 719_468
+    era = z // 146_097                        # 400-year eras from 0000-03-01
+    # The day of the era (0..146096) fits int32, whose division is faster.
+    doe = (z - era * 146_097).astype(np.int32)
+    yoe = (doe - doe // 1460 + doe // 36_524 - doe // 146_096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)   # from March 1, 0..365
+    mp = (5 * doy + 2) // 153                 # March is 0, February 11
+    day = doy - (153 * mp + 2) // 5 + 1
+    return era * 400 + yoe + (mp >= 10), (mp + 2) % 12 + 1, day
+
+
 def is_leap_day(dates) -> np.ndarray:
     """True where a date falls on February 29."""
-    dates = np.asarray(dates, dtype="datetime64[D]")
-    months = dates.astype("datetime64[M]")
-    return (months.astype(int) % 12 == 1) & (dates - months == np.timedelta64(28, "D"))
+    _, month, day = _civil(dates)
+    return (month == 2) & (day == 29)
 
 
 def leap_free_days(start, n: int) -> np.ndarray:
@@ -107,11 +130,11 @@ def leap_free_days(start, n: int) -> np.ndarray:
 def month_index(dates: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Each day's month id, numbering the calendar-month runs of ordered
     dates from 0, and the (year, month) of each run."""
-    months = dates.astype("datetime64[M]")
+    year, month, _ = _civil(dates)
+    months = year * 12 + month
     starts = np.concatenate(([True], months[1:] != months[:-1]))
-    first = months[starts].astype(int)  # months since 1970-01
     return (np.cumsum(starts) - 1,
-            list(zip((first // 12 + 1970).tolist(), (first % 12 + 1).tolist())))
+            list(zip(year[starts].tolist(), month[starts].tolist())))
 
 
 def parse_iso_date(text: str) -> dt.date:
@@ -283,13 +306,27 @@ def _parse_number(fieldtext: str, what: str, lineno: int) -> float:
 
 
 def serialize_csv(series: TemperatureSeries) -> str:
-    """Inverse of :func:`parse_csv`; round-trips exactly."""
-    # Dates and float reprs never need CSV quoting.
-    columns = [series.dates.astype(str).tolist(), map(repr, series.temps.tolist())]
-    if series.precip is not None:
-        columns.append(map(repr, series.precip.tolist()))
-    lines = [",".join(CSV_HEADER[:len(columns)]), *map(",".join, zip(*columns))]
-    return "\n".join(lines) + "\n"
+    """Inverse of :func:`parse_csv`; round-trips exactly.
+
+    The text is one ``%`` format: each row of the template is the date
+    followed by ``,%r`` per value column, and ``%r`` of a float is its
+    ``repr``. Dates and float reprs never need CSV quoting. Dates outside
+    years 1..9999, which ``YYYY-MM-DD`` cannot write, raise InputError.
+    """
+    year, month, day = _civil(series.dates)
+    if year[0] < 1 or year[-1] > 9999:
+        raise InputError(f"dates {series.dates[0]} .. {series.dates[-1]} "
+                         "outside years 1..9999")
+    columns = [series.temps] if series.precip is None else [series.temps, series.precip]
+    tail = ",%r" * len(columns) + "\n"
+    stamp = ((year * 100 + month) * 100 + day).astype(np.int32)   # YYYYMMDD
+    rows = np.empty((len(stamp), 10 + len(tail)), np.uint8)
+    rows[:] = np.frombuffer(f"YYYY-MM-DD{tail}".encode("ascii"), np.uint8)
+    for col, place in _DATE_DIGITS:
+        rows[:, col] = ord("0") + stamp // place % 10
+    header = ",".join(CSV_HEADER[:1 + len(columns)])
+    values = np.column_stack(columns).ravel().tolist()   # row by row
+    return f"{header}\n{rows.tobytes().decode('ascii')}" % tuple(values)
 
 
 def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:

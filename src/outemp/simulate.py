@@ -29,11 +29,14 @@ one more block-sized summary buffer. A consumer that needs the whole
 path matrix replays the blocks, which the seeding contract makes exact.
 
 A one-path ensemble (every synthetic series) steps Python floats
-instead of 1-element rows, which spares numpy's per-call overhead on
-each of five operations a day. The bits are the same: a Python float
-``+``, ``-`` or ``*`` is one IEEE-754 double operation rounded to
-nearest, exactly what the float64 ufunc does on a 1-element row, and
-:func:`_euler_day` applies them in the same order on both routes.
+instead of 1-element rows, in the volatility recursion and in the day
+loop, which spares numpy's per-call overhead on each operation. The bits
+are the same: a Python float ``+``, ``-`` or ``*`` is one IEEE-754
+double operation rounded to nearest, exactly what the float64 ufunc does
+on a 1-element row; :func:`_vol_month` and :func:`_euler_day` apply them
+in the same order on both routes, and ``max`` floors a float to the
+value ``np.maximum`` gives. :func:`generate_synthetic_series` reads its
+path straight from the blocks of :func:`day_blocks`.
 """
 
 from __future__ import annotations
@@ -89,13 +92,30 @@ class SimulatedEnsemble:
 def _vol_recursion(vol: VolatilityModelParams, sigma: np.ndarray) -> np.ndarray:
     """Monthly recursion in place over a (months, paths) array: row 0
     holds the starting values and row k >= 1 month k's normals, which
-    are replaced by month k's sigma."""
+    are replaced by month k's sigma. Every value is floored at VOL_FLOOR.
+
+    Two or more paths step one month row at a time; a single path steps
+    Python floats through the same :func:`_vol_month`, and ``max``
+    floors a float to the same bits as ``np.maximum``.
+    """
+    if sigma.shape[1] == 1:
+        s = max(sigma[0, 0].item(), VOL_FLOOR)
+        months = [s]
+        for z in sigma[1:, 0].tolist():
+            s = max(_vol_month(s, z, vol), VOL_FLOOR)
+            months.append(s)
+        sigma[:, 0] = months
+        return sigma
     sigma[0] = np.maximum(sigma[0], VOL_FLOOR)
     for k in range(1, len(sigma)):
-        nxt = (sigma[k - 1] + vol.kappa_sigma * (vol.sigma_bar - sigma[k - 1])
-               + vol.sigma_sigma * sigma[k])
-        sigma[k] = np.maximum(nxt, VOL_FLOOR)
+        sigma[k] = np.maximum(_vol_month(sigma[k - 1], sigma[k], vol), VOL_FLOOR)
     return sigma
+
+
+def _vol_month(s, z, vol: VolatilityModelParams):
+    """Volatility one month after s, before the floor: the Euler step
+    towards sigma_bar with the month's normal z."""
+    return s + vol.kappa_sigma * (vol.sigma_bar - s) + vol.sigma_sigma * z
 
 
 def _euler_day(x, dm, m, kappa, noise):
@@ -269,6 +289,7 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
         sigma0=vol.sigma_bar,
         constant_vol_override=constant_vol_override,
     )
-    ensemble = simulate_paths(seasonal, kappa_t, vol, config, start)
-    # The mean of a single path is that path, value for value.
-    return TemperatureSeries(dates=dates, temps=ensemble.mean_path)
+    temps = np.empty(config.n_days)
+    for first, block in day_blocks(seasonal, kappa_t, vol, config, start):
+        temps[first:first + len(block)] = block[:, 0]
+    return TemperatureSeries(dates=dates, temps=temps)

@@ -1,14 +1,19 @@
+import datetime as dt
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from outemp import evaluate_seasonal_mean, parse_csv, report_from_dict, simulate
+from outemp import (SimulationConfig, evaluate_seasonal_mean, parse_csv, report_from_dict,
+                    simulate)
+from outemp import cli
 from outemp.cli import main
+from outemp.series import leap_free_days, month_index
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "fit_4y_seed0.json"
 DELETE = object()
@@ -145,6 +150,33 @@ class TestSimulate:
         lines = matrix.read_text().strip().splitlines()
         assert lines[0] == "day,path_0,path_1,path_2"
         assert len(lines) == 6
+
+    def test_full_paths_writer_holds_one_block(self, tmp_path):
+        # Writing the blocks of 1000 paths x 800 days holds day_blocks'
+        # sigma, normals buffer and generators and the one block being
+        # written. Keeping the previous block too would add 2.92 MB.
+        n_paths, n_days, start = 1000, 800, dt.date(2001, 1, 1)
+        n_months = int(month_index(leap_free_days(start, n_days))[0][-1]) + 1
+        bound = (n_months * n_paths * 8                        # sigma
+                 + n_paths * simulate.BLOCK_DAYS * 8           # normals buffer
+                 + n_paths * 1500                              # generators, ~930 B each
+                 + n_paths * (simulate.BLOCK_DAYS + 1) * 8     # one block of rows
+                 + 500_000)                                    # lines, temporaries
+
+        def blocks(n):
+            cfg = SimulationConfig(n_paths=n, n_days=n_days, master_seed=0,
+                                   t0_temp=20.0, sigma0=cli.DEFAULT_VOL.sigma_bar)
+            return simulate.day_blocks(cli.DEFAULT_SEASONAL, cli.DEFAULT_KAPPA_T,
+                                       cli.DEFAULT_VOL, cfg, start)
+        # numpy's one-time set-up on its first generators is not the writer's.
+        cli._write_day_rows(str(tmp_path / "warm.csv"), "path_0,path_1", blocks(2))
+        tracemalloc.start()
+        try:
+            cli._write_day_rows(str(tmp_path / "paths.csv"), "paths", blocks(n_paths))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_summary_values_are_plain_floats(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -322,8 +354,8 @@ def test_no_command_needs_scipy(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Only the Anderson-Darling test needs scipy; simulate and synth never
-    # run it, so importing the CLI must not pay for scipy.
+    # No command needs scipy (see test_no_command_needs_scipy), so
+    # importing the CLI must not load it.
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -6,11 +6,18 @@ import pytest
 
 from outemp import (EstimationError, InputError, SeasonalMeanParams,
                     conditional_mean, estimate_kappa)
-from outemp.meanrev import estimating_function, estimating_terms_scale
+from outemp.meanrev import estimating_function
 from outemp.series import TemperatureSeries, leap_free_days
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
 FLAT = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def estimating_terms_scale(resid, weights, kappa):
+    """Sum of the magnitudes of the estimating sum's terms: the scale of
+    its zero check."""
+    r_prev, r_next = resid[:-1], resid[1:]
+    return float(np.sum(np.abs(weights * r_prev * (r_next - r_prev * math.exp(-kappa)))))
 
 
 def series_from_temps(temps, start=dt.date(2001, 1, 1)):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from outemp import InputError, parse_csv, serialize_csv, strip_leap_days
 from outemp import series as series_module
 from outemp.seasonal import design_matrix
-from outemp.series import TemperatureSeries, is_leap_day, leap_free_days, month_index
+from outemp.series import (TemperatureSeries, _civil, is_leap_day, leap_free_days,
+                           month_index)
 
 
 def make_csv(rows, header="date,t_avg_c"):
@@ -334,6 +335,31 @@ def test_is_leap_day():
     days = np.arange(np.datetime64("1896-01-01"), np.datetime64("2105-01-01"))
     expected = [d.month == 2 and d.day == 29 for d in days.tolist()]
     assert is_leap_day(days).tolist() == expected
+
+
+def test_civil_matches_datetime_date():
+    # Every day from 0001-01-01 to 9999-12-31, as YYYYMMDD integers.
+    n = dt.date.max.toordinal()
+    year, month, day = _civil(np.datetime64("0001-01-01") + np.arange(n))
+    expected = np.fromiter((d.year * 10_000 + d.month * 100 + d.day
+                            for d in map(dt.date.fromordinal, range(1, n + 1))),
+                           np.int64, n)
+    assert np.array_equal((year * 100 + month) * 100 + day, expected)
+
+
+def test_serialize_dates_match_numpy_text():
+    dates = np.append(np.arange(np.datetime64("0001-01-01"), np.datetime64("9999-12-31"), 13),
+                      np.datetime64("9999-12-31"))
+    text = serialize_csv(TemperatureSeries(dates, np.zeros(dates.size)))
+    written = [line[:line.index(",")] for line in text.splitlines()[1:]]
+    assert written == dates.astype(str).tolist()
+
+
+@pytest.mark.parametrize("date", ["0000-12-31", "10000-01-01"])
+def test_serialize_rejects_dates_outside_years_1_to_9999(date):
+    series = TemperatureSeries(np.array([date], dtype="datetime64[D]"), [20.0])
+    with pytest.raises(InputError, match="outside years 1..9999"):
+        serialize_csv(series)
 
 
 def test_month_index():

@@ -173,6 +173,25 @@ class TestSimulatePaths:
             return path_matrix(SEASONAL, 0.1872, VOL, cfg, start)
         assert np.array_equal(stacked(1)[0], stacked(3)[0])
 
+    def test_one_path_equals_first_column_at_vol_floor(self):
+        # With sigma_sigma = 2 about a third of the months hit VOL_FLOOR,
+        # where one path floors with max and three with np.maximum.
+        wild = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=2.0, kappa_sigma=0.989)
+        n_days = 1100
+        n_months = int(month_index(leap_free_days(START, n_days))[0][-1]) + 1
+        sigma = np.empty((n_months, 3))
+        sigma[0] = wild.sigma_bar
+        for p in range(3):
+            sigma[1:, p] = np.random.default_rng([5, p]).standard_normal(n_months - 1)
+        one = _vol_recursion(wild, sigma[:, :1].copy())
+        assert np.count_nonzero(_vol_recursion(wild, sigma)[:, 0] == VOL_FLOOR) > 0
+        assert np.array_equal(one[:, 0], sigma[:, 0])
+
+        def stacked(n_paths):
+            cfg = config(n_paths=n_paths, n_days=n_days, master_seed=5)
+            return path_matrix(SEASONAL, 0.1872, wild, cfg, START)
+        assert np.array_equal(stacked(1)[0], stacked(3)[0])
+
     def test_invalid_kappa(self):
         with pytest.raises(InputError):
             simulate_paths(SEASONAL, 0.0, VOL, config(), START)
