@@ -6,9 +6,9 @@ and evaluates the fit.
 """
 
 from .errors import EstimationError, InputError
-from .meanrev import MeanReversionEstimate, conditional_mean, estimate_kappa
+from .meanrev import MeanReversionEstimate, estimate_kappa
 from .pipeline import (FitReport, evaluate_model, fit_full_model,
-                       report_from_dict, report_to_dict, with_metrics)
+                       report_from_dict, report_to_dict)
 from .seasonal import (SeasonalMeanParams, evaluate_seasonal_mean, fit_seasonal_mean,
                        recover_amplitude_phase, residuals)
 from .series import TemperatureSeries, parse_csv, serialize_csv, strip_leap_days
@@ -29,12 +29,12 @@ __all__ = [
     "MonthlyVolatilitySeries", "NormalityTestResult",
     "SeasonalMeanParams", "SimulatedEnsemble", "SimulationConfig",
     "TemperatureSeries", "VolatilityModelParams", "anderson_darling_normal",
-    "conditional_mean", "describe", "estimate_kappa",
+    "describe", "estimate_kappa",
     "estimate_kappa_sigma", "estimate_sigma_bar", "estimate_sigma_sigma",
     "evaluate_model", "evaluate_seasonal_mean", "fit_full_model",
     "fit_seasonal_mean", "fit_volatility_model", "generate_synthetic_series",
     "mape", "monthly_quadratic_variation", "parse_csv", "r_squared",
     "recover_amplitude_phase", "report_from_dict", "report_to_dict",
     "residuals", "rmse", "serialize_csv", "simulate_paths",
-    "strip_leap_days", "with_metrics",
+    "strip_leap_days",
 ]

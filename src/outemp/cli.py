@@ -29,7 +29,10 @@ DEFAULT_VOL = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=0.419,
 
 def _load_series(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_csv(fh.read())
+        try:
+            raw = parse_csv(fh.read())
+        except UnicodeDecodeError as exc:
+            raise InputError(f"CSV is not UTF-8 text: {exc}") from None
     stripped = strip_leap_days(raw)
     return stripped, len(raw) - len(stripped)
 
@@ -42,10 +45,7 @@ def _try_normality(values) -> stats.NormalityTestResult | None:
 
 
 def _normality_dict(nt: stats.NormalityTestResult | None) -> dict | None:
-    if nt is None:
-        return None
-    return {"a_squared": nt.a_squared, "p_value": nt.p_value,
-            "reject_at_5pct": nt.reject_at_5pct}
+    return None if nt is None else {**vars(nt), "reject_at_5pct": nt.reject_at_5pct}
 
 
 def _describe_lines(name: str, d: stats.DescriptiveSummary,
@@ -65,23 +65,17 @@ def _describe_lines(name: str, d: stats.DescriptiveSummary,
 
 def run_describe(args) -> int:
     series, _ = _load_series(args.input)
-    d_temp = stats.describe(series.temps)
-    n_temp = _try_normality(series.temps)
     lines = [f"n_obs: {len(series)}  span: {series.dates[0]} .. {series.dates[-1]}"]
-    lines += _describe_lines("Temperature (degC)", d_temp, n_temp)
-    payload = {
-        "n_obs": len(series),
-        "temperature": pipeline._describe_to_dict(d_temp),
-        "temperature_normality": _normality_dict(n_temp),
-        "precipitation": None,
-        "precipitation_normality": None,
-    }
-    if series.precip is not None:
-        d_pre = stats.describe(series.precip)
-        n_pre = _try_normality(series.precip)
-        lines += _describe_lines("Precipitation (mm)", d_pre, n_pre)
-        payload["precipitation"] = pipeline._describe_to_dict(d_pre)
-        payload["precipitation_normality"] = _normality_dict(n_pre)
+    payload = {"n_obs": len(series)}
+    for key, name, values in [("temperature", "Temperature (degC)", series.temps),
+                              ("precipitation", "Precipitation (mm)", series.precip)]:
+        summary = normality = None
+        if values is not None:
+            summary = stats.describe(values)
+            normality = _try_normality(values)
+            lines += _describe_lines(name, summary, normality)
+        payload[key] = None if summary is None else vars(summary)
+        payload[f"{key}_normality"] = _normality_dict(normality)
     print("\n".join(lines))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -119,10 +113,11 @@ def run_fit(args) -> int:
 def _load_report(path: str) -> pipeline.FitReport:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return pipeline.report_from_dict(json.load(fh))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InputError(f"invalid report JSON: {exc}") from None
-    return pipeline.report_from_dict(payload)
+        except RecursionError:   # deep nesting, in json.load or the field check
+            raise InputError("invalid report JSON: nested too deeply") from None
 
 
 def run_simulate(args) -> int:
@@ -132,7 +127,6 @@ def run_simulate(args) -> int:
         n_days=args.days,
         master_seed=args.seed,
         t0_temp=simulate.evaluate_seasonal_mean(report.seasonal, 0),
-        sigma0=report.vol.sigma_bar,
     )
     ens = simulate.simulate_paths(report.seasonal, report.kappa, report.vol,
                                   config, report.meta.start)
@@ -238,10 +232,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

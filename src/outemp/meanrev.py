@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, InputError
-from .seasonal import SeasonalMeanParams, evaluate_seasonal_mean, residuals
+from .seasonal import SeasonalMeanParams, residuals
 from .series import TemperatureSeries, month_index
 from .volatility import MonthlyVolatilitySeries
 
@@ -35,16 +35,6 @@ class MeanReversionEstimate:
     def daily_adjustment_fraction(self) -> float:
         """Fraction of a deviation removed per day, 1 - exp(-kappa)."""
         return 1.0 - math.exp(-self.kappa_t)
-
-
-def conditional_mean(seasonal: SeasonalMeanParams, kappa: float,
-                     temp_prev: float, t_prev: int) -> float:
-    """Expected temperature at day t_prev+1 given the value at t_prev."""
-    if kappa < 0:
-        raise InputError("kappa must be non-negative")
-    m_prev = evaluate_seasonal_mean(seasonal, t_prev)
-    m_next = evaluate_seasonal_mean(seasonal, t_prev + 1)
-    return m_next + (temp_prev - m_prev) * math.exp(-kappa)
 
 
 def estimating_function(resid: np.ndarray, weights: np.ndarray,

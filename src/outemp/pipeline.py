@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 from .errors import InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
@@ -33,7 +34,6 @@ class ReportMeta:
     start: dt.date
     end: dt.date
     leap_days_removed: int
-    eval_seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class FitReport:
     normality_temp: NormalityTestResult
     normality_residuals: NormalityTestResult
     meta: ReportMeta
-    metrics: FitMetrics | None = None
 
 
 def fit_full_model(series: TemperatureSeries,
@@ -55,7 +54,7 @@ def fit_full_model(series: TemperatureSeries,
     """Fit every model stage on a leap-stripped series.
 
     Estimation failures propagate as EstimationError labeled with the
-    failing stage. The metrics field stays None until evaluate_model runs.
+    failing stage.
     """
     if len(series) < 3:
         raise InputError("series too short to fit")
@@ -100,7 +99,6 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
         n_days=len(series),
         master_seed=seed,
         t0_temp=float(series.temps[0]) if t0_temp is None else t0_temp,
-        sigma0=report.vol.sigma_bar,
         constant_vol_override=constant_vol_override,
     )
     ensemble = simulate_paths(report.seasonal, report.kappa, report.vol,
@@ -108,69 +106,54 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
     return fit_metrics(series.temps, ensemble.mean_path)
 
 
-def with_metrics(report: FitReport, metrics: FitMetrics,
-                 eval_seed: int) -> FitReport:
-    return replace(report, metrics=metrics,
-                   meta=replace(report.meta, eval_seed=eval_seed))
-
-
 # --- JSON-friendly (de)serialization -----------------------------------
 
-def _describe_to_dict(d: DescriptiveSummary) -> dict:
-    return {"mean": d.mean, "median": d.median, "sd": d.sd,
-            "skewness": d.skewness, "excess_kurtosis": d.excess_kurtosis,
-            "min": d.min, "max": d.max, "n": d.n}
+# The JSON keys of each dataclass a report is read into, in field order.
+_JSON_KEYS = {cls: tuple("r2" if name == "r_squared_fit" else name
+                         for name in cls.__dataclass_fields__)
+              for cls in (SeasonalMeanParams, MeanReversionEstimate,
+                          VolatilityModelParams, MonthlyVolatility,
+                          DescriptiveSummary, NormalityTestResult, ReportMeta)}
+_READERS = {cls: operator.itemgetter(*keys) for cls, keys in _JSON_KEYS.items()}
+# Keys that hold a number (or a date), never a list or an object.
+_SCALAR_KEYS = set().union(*_JSON_KEYS.values())
 
 
-def _describe_from_dict(d: dict) -> DescriptiveSummary:
-    return DescriptiveSummary(**d)
+def _from_json(cls, d: dict):
+    return cls(*_READERS[cls](d))
 
 
 def report_to_dict(report: FitReport) -> dict:
-    """Plain-dict form of a report (schema_version in meta)."""
+    """Plain-dict form of a report. Each object holds a shallow copy of
+    its dataclass's fields, except that r_squared_fit is "r2", kappa's
+    fields sit at the top level with the daily_adjustment_fraction
+    property second, and meta writes ISO dates and schema_version.
+    "metrics" and "meta.eval_seed" are always null."""
+    seasonal = vars(report.seasonal).copy()
+    seasonal["r2"] = seasonal.pop("r_squared_fit")   # the last field
+    kappa = vars(report.kappa).copy()
+    precip = report.descriptive_precip
     return {
-        "seasonal": {
-            "a_t": report.seasonal.a_t,
-            "b_t": report.seasonal.b_t,
-            "c_t": report.seasonal.c_t,
-            "psi": report.seasonal.psi,
-            "r2": report.seasonal.r_squared_fit,
-        },
-        "kappa_t": report.kappa.kappa_t,
+        "seasonal": seasonal,
+        "kappa_t": kappa.pop("kappa_t"),
         "daily_adjustment_fraction": report.kappa.daily_adjustment_fraction,
-        "g_at_kappa": report.kappa.g_at_kappa,
-        "n_terms": report.kappa.n_terms,
-        "vol": {
-            "sigma_bar": report.vol.sigma_bar,
-            "sigma_sigma": report.vol.sigma_sigma,
-            "kappa_sigma": report.vol.kappa_sigma,
-        },
-        "monthly_vols": [
-            {"year": e.year, "month": e.month, "sigma": e.sigma}
-            for e in report.monthly_vols.entries
-        ],
+        **kappa,
+        "vol": vars(report.vol).copy(),
+        "monthly_vols": [vars(e).copy() for e in report.monthly_vols.entries],
         "descriptive": {
-            "temperature": _describe_to_dict(report.descriptive_temp),
-            "precipitation": (_describe_to_dict(report.descriptive_precip)
-                              if report.descriptive_precip else None),
+            "temperature": vars(report.descriptive_temp).copy(),
+            "precipitation": None if precip is None else vars(precip).copy(),
         },
         "normality": {
-            "temperature": {"a_squared": report.normality_temp.a_squared,
-                            "p_value": report.normality_temp.p_value},
-            "residuals": {"a_squared": report.normality_residuals.a_squared,
-                          "p_value": report.normality_residuals.p_value},
+            "temperature": vars(report.normality_temp).copy(),
+            "residuals": vars(report.normality_residuals).copy(),
         },
-        "metrics": (None if report.metrics is None else {
-            "rmse": report.metrics.rmse,
-            "mape_pct": report.metrics.mape_pct,
-            "r2": report.metrics.r_squared,
-        }),
+        "metrics": None,
         "meta": {
-            "n_obs": report.meta.n_obs,
+            **vars(report.meta),
             "start": report.meta.start.isoformat(),
             "end": report.meta.end.isoformat(),
-            "leap_days_removed": report.meta.leap_days_removed,
-            "eval_seed": report.meta.eval_seed,
+            "eval_seed": None,
             "schema_version": SCHEMA_VERSION,
         },
     }
@@ -183,9 +166,13 @@ _NULLABLE = {"skewness", "excess_kurtosis", "precipitation", "metrics",
 
 def _check_scalars(node, key: str) -> None:
     if isinstance(node, dict):
+        if key in _SCALAR_KEYS:
+            raise InputError(f"report field {key!r} is an object, not a number")
         for k, value in node.items():
             _check_scalars(value, k)
     elif isinstance(node, list):
+        if key in _SCALAR_KEYS:
+            raise InputError(f"report field {key!r} is a list, not a number")
         for value in node:
             _check_scalars(value, key)
     elif node is None and key in _NULLABLE or key in ("start", "end"):
@@ -196,7 +183,9 @@ def _check_scalars(node, key: str) -> None:
 
 
 def report_from_dict(d: dict) -> FitReport:
-    """Inverse of :func:`report_to_dict`; bad payloads raise InputError."""
+    """Inverse of :func:`report_to_dict`; bad payloads raise InputError.
+    Unknown keys, "metrics" and "meta.eval_seed" pass the scalar check
+    and are then ignored."""
     if not isinstance(d, dict) or not isinstance(d.get("meta"), dict):
         raise InputError("report JSON must be an object with a 'meta' object")
     version = d["meta"].get("schema_version")
@@ -206,35 +195,20 @@ def report_from_dict(d: dict) -> FitReport:
             f"expected {SCHEMA_VERSION}")
     _check_scalars(d, "report")
     try:
-        s, v, desc = d["seasonal"], d["vol"], d["descriptive"]
-        metrics = d.get("metrics")
+        desc, meta = d["descriptive"], d["meta"]
         report = FitReport(
-            seasonal=SeasonalMeanParams(a_t=s["a_t"], b_t=s["b_t"], c_t=s["c_t"],
-                                        psi=s["psi"], r_squared_fit=s["r2"]),
-            kappa=MeanReversionEstimate(kappa_t=d["kappa_t"],
-                                        g_at_kappa=d["g_at_kappa"],
-                                        n_terms=d["n_terms"]),
-            vol=VolatilityModelParams(sigma_bar=v["sigma_bar"],
-                                      sigma_sigma=v["sigma_sigma"],
-                                      kappa_sigma=v["kappa_sigma"]),
+            seasonal=_from_json(SeasonalMeanParams, d["seasonal"]),
+            kappa=_from_json(MeanReversionEstimate, d),
+            vol=_from_json(VolatilityModelParams, d["vol"]),
             monthly_vols=MonthlyVolatilitySeries(entries=tuple(
-                MonthlyVolatility(year=e["year"], month=e["month"], sigma=e["sigma"])
-                for e in d["monthly_vols"])),
-            descriptive_temp=_describe_from_dict(desc["temperature"]),
-            descriptive_precip=(_describe_from_dict(desc["precipitation"])
+                _from_json(MonthlyVolatility, e) for e in d["monthly_vols"])),
+            descriptive_temp=_from_json(DescriptiveSummary, desc["temperature"]),
+            descriptive_precip=(_from_json(DescriptiveSummary, desc["precipitation"])
                                 if desc["precipitation"] else None),
-            normality_temp=NormalityTestResult(**d["normality"]["temperature"]),
-            normality_residuals=NormalityTestResult(**d["normality"]["residuals"]),
-            metrics=(None if metrics is None else FitMetrics(
-                rmse=metrics["rmse"], mape_pct=metrics["mape_pct"],
-                r_squared=metrics["r2"])),
-            meta=ReportMeta(
-                n_obs=d["meta"]["n_obs"],
-                start=parse_iso_date(d["meta"]["start"]),
-                end=parse_iso_date(d["meta"]["end"]),
-                leap_days_removed=d["meta"]["leap_days_removed"],
-                eval_seed=d["meta"]["eval_seed"],
-            ),
+            normality_temp=_from_json(NormalityTestResult, d["normality"]["temperature"]),
+            normality_residuals=_from_json(NormalityTestResult, d["normality"]["residuals"]),
+            meta=_from_json(ReportMeta, {**meta, "start": parse_iso_date(meta["start"]),
+                                         "end": parse_iso_date(meta["end"])}),
         )
     except KeyError as exc:
         raise InputError(f"report has no field {exc}") from None

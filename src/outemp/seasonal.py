@@ -40,7 +40,6 @@ class SeasonalMeanParams:
 @dataclass(frozen=True)
 class OlsSolution:
     beta: tuple[float, float, float, float]
-    residual_sum_squares: float
 
 
 def design_matrix(n: int) -> np.ndarray:
@@ -61,9 +60,7 @@ def ols_fit(series: TemperatureSeries) -> OlsSolution:
     if rank < 4:
         raise EstimationError("rank-deficient seasonal design matrix",
                               stage="seasonal")
-    rss = float(np.sum((series.temps - x @ beta) ** 2))
-    return OlsSolution(beta=tuple(float(b) for b in beta),
-                       residual_sum_squares=rss)
+    return OlsSolution(beta=tuple(float(b) for b in beta))
 
 
 def recover_amplitude_phase(beta2: float, beta3: float) -> tuple[float, float]:

@@ -6,8 +6,9 @@ The daily recursion is
 
 with m the seasonal mean, a unit day step, and sigma_month piecewise
 constant over the calendar months of the leap-free calendar from the
-start date, the months it is estimated on. Monthly volatility follows
-its own unit-month Euler recursion sigma(n) = sigma(n-1) +
+start date, the months it is estimated on. Each path's monthly
+volatility starts at sigma(0) = sigma_bar and follows its own
+unit-month Euler recursion sigma(n) = sigma(n-1) +
 kappa_sigma*(sigma_bar - sigma(n-1)) + sigma_sigma*Z_h, floored at a
 small epsilon because the Gaussian increment admits negative values the
 temperature equation cannot use.
@@ -64,7 +65,6 @@ class SimulationConfig:
     n_days: int
     master_seed: int
     t0_temp: float
-    sigma0: float | None = None
     constant_vol_override: float | None = None
 
     def __post_init__(self):
@@ -72,10 +72,7 @@ class SimulationConfig:
             raise InputError("n_paths and n_days must be >= 1")
         if self.master_seed < 0:
             raise InputError("master_seed must be non-negative")
-        if self.constant_vol_override is None:
-            if self.sigma0 is not None and self.sigma0 <= 0:
-                raise InputError("sigma0 must be positive")
-        elif self.constant_vol_override < 0:
+        if self.constant_vol_override is not None and self.constant_vol_override < 0:
             raise InputError("constant_vol_override must be non-negative")
 
 
@@ -154,7 +151,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     z = np.empty((n_paths, min(BLOCK_DAYS, n_days)))
     rngs = [np.random.default_rng([config.master_seed, p]) for p in range(n_paths)]
     if override is None:
-        sigma[0] = vol.sigma_bar if config.sigma0 is None else config.sigma0
+        sigma[0] = vol.sigma_bar
         for p, rng in enumerate(rngs):
             sigma[1:, p] = rng.standard_normal(len(sigma) - 1)
         _vol_recursion(vol, sigma)
@@ -264,14 +261,12 @@ def _sorted_percentile(ordered: np.ndarray, q: float) -> np.ndarray:
 def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
                               vol: VolatilityModelParams, start_year: int,
                               n_years: int, seed: int,
-                              t0_temp: float | None = None,
                               constant_vol_override: float | None = None,
                               ) -> TemperatureSeries:
     """One simulated path laid out on a leap-free calendar.
 
-    Calendar months drive the volatility switching; T(0) defaults to the
-    seasonal mean at day 0. The result parses/fits like an observed
-    series.
+    Calendar months drive the volatility switching; T(0) is the seasonal
+    mean at day 0. The result parses/fits like an observed series.
     """
     if n_years < 1:
         raise InputError("n_years must be >= 1")
@@ -284,9 +279,7 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
         n_paths=1,
         n_days=len(dates),
         master_seed=seed,
-        t0_temp=(evaluate_seasonal_mean(seasonal, 0)
-                 if t0_temp is None else t0_temp),
-        sigma0=vol.sigma_bar,
+        t0_temp=evaluate_seasonal_mean(seasonal, 0),
         constant_vol_override=constant_vol_override,
     )
     temps = np.empty(config.n_days)

@@ -184,7 +184,7 @@ def test_criterion_07_mean_path_convergence(recovery_fits):
     n_days, n_paths, d0 = 730, 10_000, 1.0
     t0 = evaluate_seasonal_mean(report.seasonal, 0) + d0
     cfg = SimulationConfig(n_paths=n_paths, n_days=n_days, master_seed=707,
-                           t0_temp=t0, sigma0=report.vol.sigma_bar)
+                           t0_temp=t0)
     ens = simulate_paths(report.seasonal, report.kappa, report.vol, cfg,
                          report.meta.start)
     t = np.arange(n_days)
@@ -256,8 +256,7 @@ def test_criterion_10_determinism(tmp_path):
     from outemp import report_from_dict
     import json
     rep = report_from_dict(json.loads(report.read_text()))
-    cfg = dict(n_days=60, master_seed=5, t0_temp=26.0,
-               sigma0=rep.vol.sigma_bar)
+    cfg = dict(n_days=60, master_seed=5, t0_temp=26.0)
 
     def path_matrix(n_paths):
         blocks = day_blocks(rep.seasonal, rep.kappa, rep.vol,

@@ -1,13 +1,18 @@
+import contextlib
 import datetime as dt
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outemp import (SimulationConfig, evaluate_seasonal_mean, parse_csv, report_from_dict,
                     simulate)
@@ -165,7 +170,7 @@ class TestSimulate:
 
         def blocks(n):
             cfg = SimulationConfig(n_paths=n, n_days=n_days, master_seed=0,
-                                   t0_temp=20.0, sigma0=cli.DEFAULT_VOL.sigma_bar)
+                                   t0_temp=20.0)
             return simulate.day_blocks(cli.DEFAULT_SEASONAL, cli.DEFAULT_KAPPA_T,
                                        cli.DEFAULT_VOL, cfg, start)
         # numpy's one-time set-up on its first generators is not the writer's.
@@ -225,9 +230,11 @@ class TestSimulate:
         edited_report("meta.start", "2000-02-29"),
         edited_report("meta.start", "20000101"),
         edited_report("meta.start", "2000-W01-1"),
+        edited_report("seasonal.a_t", []),
+        edited_report("kappa_t", {}),
     ], ids=["top-level-list", "missing-kappa-sigma", "string-sigma-bar",
             "bool-kappa-t", "nan-a-t", "feb-29-start", "basic-format-start",
-            "week-date-start"])
+            "week-date-start", "list-a-t", "object-kappa-t"])
     def test_bad_report_exit_2(self, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(edit(json.loads(GOLDEN_REPORT.read_text()))))
@@ -363,3 +370,100 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def run_on_bytes(argv, data):
+    """Exit code and stderr lines of `main` on ``argv`` with ``data``
+    written to a temporary file named by the IN argument; an OUT argument
+    names an output file beside it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"IN": os.path.join(tmp, "in"), "OUT": os.path.join(tmp, "out")}
+        with open(paths["IN"], "wb") as fh:
+            fh.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([paths.get(a, a) for a in argv])
+    return rc, err.getvalue().splitlines()
+
+
+def assert_clean_exit(rc, err):
+    assert rc in (0, 2, 3)
+    if rc:
+        assert len(err) == 1
+        assert err[0].startswith("input error:" if rc == 2 else "estimation failure:")
+
+
+NOT_UTF8_CSV = b"date,t_avg_c\n2000-01-01,25.0\n2000-01-02,\xff26.0\n"
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["describe", "--input", "IN"], NOT_UTF8_CSV),
+    (["fit", "--input", "IN", "--out", "OUT"], NOT_UTF8_CSV),
+    (["evaluate", "--input", "IN", "--paths", "2"], NOT_UTF8_CSV),
+    (["simulate", "--report", "IN", "--days", "5", "--out", "OUT"], b"\xff\xfe{}"),
+    (["simulate", "--report", "IN", "--days", "5", "--out", "OUT"],
+     b"[" * 990 + b"]" * 990),
+], ids=["describe-not-utf8", "fit-not-utf8", "evaluate-not-utf8",
+        "report-not-utf8", "report-nested-990"])
+def test_bad_bytes_exit_2(argv, data):
+    rc, err = run_on_bytes(argv, data)
+    assert rc == 2
+    assert_clean_exit(rc, err)
+
+
+CSV_FIELDS = st.sampled_from(["2000-01-01", "2000-01-02", "2000-02-29",
+                              "2000-13-01", "25.0", "-1e308", "1e400", "nan",
+                              "inf", "", '"', "x"]) | st.text(max_size=6)
+CSV_ROWS = st.lists(st.lists(CSV_FIELDS, max_size=4).map(",".join), max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+def report_paths(node, path=()):
+    """(path, value) of every value inside a report payload."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from report_paths(value, path + (key,))
+
+
+GOLDEN_VALUES = list(report_paths(json.loads(GOLDEN_REPORT.read_text())))
+GOLDEN_PATHS = [path for path, _ in GOLDEN_VALUES]
+GOLDEN_LEAVES = [path for path, value in GOLDEN_VALUES if not isinstance(value, (dict, list))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=80),
+    CSV_ROWS.map(lambda rows: ("date,t_avg_c\n" + "\n".join(rows)).encode()),
+    st.lists(st.floats(), min_size=1, max_size=70).map(lambda temps: "".join(
+        ["date,t_avg_c\n"] + [f"{dt.date(2000, 1, 1) + dt.timedelta(days=i)},{t!r}\n"
+                               for i, t in enumerate(temps)]).encode())))
+def test_fuzzed_csv_exits_cleanly(data):
+    assert_clean_exit(*run_on_bytes(["fit", "--input", "IN", "--out", "OUT"], data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(GOLDEN_PATHS), st.just(DELETE))
+                | st.tuples(st.sampled_from(GOLDEN_LEAVES), JSON_VALUES),
+                min_size=1, max_size=3))
+def test_fuzzed_report_exits_cleanly(mutations):
+    report = json.loads(GOLDEN_REPORT.read_text())
+    for path, value in mutations:
+        parent = report
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass   # an earlier mutation removed or replaced the path
+    assert_clean_exit(*run_on_bytes(
+        ["simulate", "--report", "IN", "--paths", "2", "--days", "40", "--out", "OUT"],
+        json.dumps(report).encode()))

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from outemp import (EstimationError, InputError, SeasonalMeanParams,
-                    conditional_mean, estimate_kappa)
+from outemp import EstimationError, SeasonalMeanParams, estimate_kappa
 from outemp.meanrev import estimating_function
 from outemp.series import TemperatureSeries, leap_free_days
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
@@ -32,31 +31,6 @@ def constant_vols_for(series, sigma=1.0):
             months.append((d.year, d.month))
     return MonthlyVolatilitySeries(entries=tuple(
         MonthlyVolatility(y, m, sigma) for y, m in months))
-
-
-class TestConditionalMean:
-    def test_on_mean_start(self):
-        p = SeasonalMeanParams(26.4, -7.58e-5, 1.75, 0.531, 0.5)
-        m0 = 26.4 + 1.75 * math.sin(0.531)
-        for kappa in (0.0, 0.1, 2.0):
-            got = conditional_mean(p, kappa, temp_prev=m0, t_prev=0)
-            assert got == pytest.approx(
-                26.4 - 7.58e-5 + 1.75 * math.sin(2 * math.pi / 365 + 0.531),
-                abs=1e-12)
-
-    def test_zero_kappa_carries_deviation(self):
-        p = SeasonalMeanParams(10.0, 0.0, 0.0, 0.0, 0.0)
-        assert conditional_mean(p, 0.0, temp_prev=12.0, t_prev=5) == 12.0
-
-    def test_deviation_shrinks_by_exp_kappa(self):
-        p = SeasonalMeanParams(10.0, 0.0, 0.0, 0.0, 0.0)
-        got = conditional_mean(p, 0.1872, temp_prev=11.0, t_prev=3)
-        assert got - 10.0 == pytest.approx(math.exp(-0.1872), abs=1e-12)
-        assert got - 10.0 == pytest.approx(0.8293, abs=1e-4)
-
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(InputError):
-            conditional_mean(FLAT, -0.1, 1.0, 0)
 
 
 class TestEstimateKappa:

@@ -1,12 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
 from outemp import (EstimationError, evaluate_model, evaluate_seasonal_mean,
                     fit_full_model, generate_synthetic_series,
-                    report_from_dict, report_to_dict, with_metrics)
+                    report_from_dict, report_to_dict)
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
 from outemp.errors import InputError
-from outemp.stats import FitMetrics
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,6 @@ class TestFitFullModel:
 
     def test_report_completeness(self, synthetic_report, synthetic_series):
         r = synthetic_report
-        assert r.metrics is None
         assert r.meta.n_obs == len(synthetic_series)
         assert r.meta.start == synthetic_series.dates[0]
         assert r.meta.end == synthetic_series.dates[-1]
@@ -89,21 +89,38 @@ class TestReportSerialization:
         d = report_to_dict(synthetic_report)
         assert report_to_dict(report_from_dict(d)) == d
 
-    def test_round_trip_with_metrics(self, synthetic_series, synthetic_report):
-        metrics = evaluate_model(synthetic_series, synthetic_report,
-                                 n_paths=10, seed=5)
-        report = with_metrics(synthetic_report, metrics, eval_seed=5)
-        d = report_to_dict(report)
-        assert d["metrics"]["rmse"] == metrics.rmse
-        assert d["meta"]["eval_seed"] == 5
-        assert report_to_dict(report_from_dict(d)) == d
-
     def test_null_mape_accepted(self, synthetic_report):
-        d = report_to_dict(synthetic_report)
+        # A filled "metrics" object and "eval_seed" are read and ignored;
+        # the report is written back with both null.
+        written = report_to_dict(synthetic_report)
+        assert written["metrics"] is None and written["meta"]["eval_seed"] is None
+        d = copy.deepcopy(written)
         d["metrics"] = {"rmse": 1.5, "mape_pct": None, "r2": 0.4}
-        assert report_from_dict(d).metrics == FitMetrics(
-            rmse=1.5, mape_pct=None, r_squared=0.4)
-        assert report_to_dict(report_from_dict(d)) == d
+        d["meta"]["eval_seed"] = 5
+        assert report_to_dict(report_from_dict(d)) == written
+
+    def test_filled_metrics_checked(self, synthetic_report):
+        d = report_to_dict(synthetic_report)
+        d["metrics"] = {"rmse": float("nan"), "mape_pct": None, "r2": 0.4}
+        with pytest.raises(InputError, match="rmse"):
+            report_from_dict(d)
+
+    def test_unknown_keys_ignored(self, synthetic_report):
+        written = report_to_dict(synthetic_report)
+        d = copy.deepcopy(written)
+
+        def add_unknown_keys(node):
+            if isinstance(node, dict):
+                for value in node.values():
+                    add_unknown_keys(value)
+                node["unknown_key"] = 1.0
+            elif isinstance(node, list):
+                for value in node:
+                    add_unknown_keys(value)
+        add_unknown_keys(d)
+        assert d["monthly_vols"][-1]["unknown_key"] == 1.0
+        assert d["normality"]["residuals"]["unknown_key"] == 1.0
+        assert report_to_dict(report_from_dict(d)) == written
 
     def test_unknown_schema_version_rejected(self, synthetic_report):
         d = report_to_dict(synthetic_report)

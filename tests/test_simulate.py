@@ -55,7 +55,7 @@ class TestVolatilitySimulation:
 
 def config(**kw):
     base = dict(n_paths=2, n_days=100, master_seed=0,
-                t0_temp=evaluate_seasonal_mean(SEASONAL, 0), sigma0=0.877)
+                t0_temp=evaluate_seasonal_mean(SEASONAL, 0))
     base.update(kw)
     return SimulationConfig(**base)
 
@@ -68,7 +68,7 @@ def path_matrix(*args):
 
 class TestSimulatePaths:
     def test_zero_noise_on_mean_tracks_mean_function(self):
-        cfg = config(constant_vol_override=0.0, sigma0=None)
+        cfg = config(constant_vol_override=0.0)
         ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
         paths = path_matrix(SEASONAL, 0.1872, None, cfg, START)
         expected = evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
@@ -77,7 +77,7 @@ class TestSimulatePaths:
 
     def test_zero_noise_deviation_decay(self):
         d0 = 3.0
-        cfg = config(n_paths=1, constant_vol_override=0.0, sigma0=None,
+        cfg = config(n_paths=1, constant_vol_override=0.0,
                      t0_temp=evaluate_seasonal_mean(SEASONAL, 0) + d0)
         paths = path_matrix(SEASONAL, 0.1872, None, cfg, START)
         expected_dev = d0 * (1 - 0.1872) ** np.arange(cfg.n_days)
@@ -207,7 +207,7 @@ class TestSimulatePaths:
 
 class TestEnsembleSummary:
     def test_identical_paths_zero_sd(self):
-        cfg = config(constant_vol_override=0.0, sigma0=None)
+        cfg = config(constant_vol_override=0.0)
         ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
         assert np.all(ens.cross_path_sd == 0.0)
         assert np.array_equal(ens.p05, ens.mean_path)
