@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from outemp import EstimationError, fit_full_model, generate_synthetic_series
+from outemp import EstimationError, fit_full_model
+from outemp.simulate import generate_synthetic_series
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
 
 

@@ -139,6 +139,9 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     kappa_t = float(getattr(kappa, "kappa_t", kappa))
     if kappa_t <= 0:
         raise InputError("kappa must be positive")
+    if kappa_t >= 2:
+        raise InputError(f"kappa_t {kappa_t!r} is outside 0 < kappa_t < 2, "
+                         "the stable range of the Euler day step")
     override = config.constant_vol_override
     if override is None and vol is None:
         raise InputError("volatility parameters required without a constant override")
@@ -193,6 +196,8 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
         del rows
 
 
+# An overflow shows as a non-finite summary value, which raises at the end.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_paths(seasonal: SeasonalMeanParams, kappa,
                    vol: VolatilityModelParams | None, config: SimulationConfig,
                    start) -> SimulatedEnsemble:
@@ -213,7 +218,8 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa,
     floats per day. Each path draws its monthly volatility normals, then
     its daily normals, from the generator seeded [master_seed, p]; the
     summary equals, bit for bit, numpy's mean, std(ddof=1) and
-    percentile over the (n_paths, n_days) path matrix.
+    percentile over the (n_paths, n_days) path matrix. A non-finite
+    summary value raises InputError.
     """
     n_paths, n_days = config.n_paths, config.n_days
     mean_path, sd, p05, p95 = (np.empty(n_days) for _ in range(4))
@@ -236,9 +242,13 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa,
         p05[days] = _sorted_percentile(block, 5)
         p95[days] = _sorted_percentile(block, 95)
         del block   # released before day_blocks allocates the next
-    return SimulatedEnsemble(mean_path=mean_path,
-                             cross_path_sd=sd if n_paths >= 2 else None,
-                             p05=p05, p95=p95)
+    ens = SimulatedEnsemble(mean_path=mean_path,
+                            cross_path_sd=sd if n_paths >= 2 else None,
+                            p05=p05, p95=p95)
+    if not all(np.isfinite(a).all() for a in vars(ens).values() if a is not None):
+        raise InputError("the simulated ensemble overflowed to a non-finite "
+                         "value; the report's parameters are out of range")
+    return ens
 
 
 def _sorted_percentile(ordered: np.ndarray, q: float) -> np.ndarray:

@@ -13,7 +13,7 @@ per unit month).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,13 +31,16 @@ class MonthlyVolatility:
 @dataclass(frozen=True)
 class MonthlyVolatilitySeries:
     entries: tuple[MonthlyVolatility, ...]
+    # The entries' sigmas as a read-only array, built once from entries.
+    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sigmas = np.array([e.sigma for e in self.entries])
+        sigmas.flags.writeable = False
+        object.__setattr__(self, "sigmas", sigmas)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([e.sigma for e in self.entries])
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,18 @@ import os
 import numpy as np
 import pytest
 
-from outemp import (EstimationError, anderson_darling_normal, estimate_kappa_sigma,
-                    evaluate_model, evaluate_seasonal_mean, fit_full_model,
-                    fit_seasonal_mean, generate_synthetic_series, mape, parse_csv,
-                    r_squared, rmse, strip_leap_days)
+from outemp import (EstimationError, evaluate_model, fit_full_model, parse_csv,
+                    strip_leap_days)
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL, main
 from outemp.meanrev import estimating_function, transition_weights
-from outemp.seasonal import SeasonalMeanParams, design_matrix, ols_fit, residuals
+from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
+                             fit_seasonal_mean, ols_fit, residuals)
 from outemp.series import TemperatureSeries, leap_free_days
-from outemp.simulate import SimulationConfig, day_blocks, simulate_paths
-from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
+from outemp.simulate import (SimulationConfig, day_blocks, generate_synthetic_series,
+                             simulate_paths)
+from outemp.stats import anderson_darling_normal, mape, r_squared, rmse
+from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
+                               estimate_kappa_sigma)
 
 TRUTH = {"a_t": 26.4, "b_t": -7.58e-5, "c_t": 1.75, "psi": 0.531,
          "kappa_t": 0.1872, "sigma_bar": 0.877, "kappa_sigma": 0.989}
@@ -152,7 +154,7 @@ def test_criterion_04_estimating_equation_zero(recovery_fits):
 def test_criterion_05_exact_decay_estimators():
     s = _series_from_temps(0.9 ** np.arange(120))
     flat = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
-    from outemp import estimate_kappa
+    from outemp.meanrev import estimate_kappa
     from test_meanrev import constant_vols_for
     k_t = estimate_kappa(s, flat, constant_vols_for(s)).kappa_t
     d = 0.5 * 0.372 ** np.arange(24)

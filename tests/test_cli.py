@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outemp import (SimulationConfig, evaluate_seasonal_mean, parse_csv, report_from_dict,
-                    simulate)
+from outemp import parse_csv, report_from_dict, simulate
+from outemp.seasonal import evaluate_seasonal_mean
+from outemp.simulate import SimulationConfig
 from outemp import cli
 from outemp.cli import main
 from outemp.series import leap_free_days, month_index
@@ -244,6 +245,22 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error:")
 
+    @pytest.mark.filterwarnings("error")   # a numpy overflow warning fails the test
+    @pytest.mark.parametrize("path, value, says", [
+        ("kappa_t", 2.5, "0 < kappa_t < 2"),
+        ("vol.sigma_sigma", 1e300, "non-finite"),
+    ], ids=["unstable-kappa-t", "overflowing-sigma-sigma"])
+    def test_non_finite_ensemble_exit_2(self, tmp_path, capsys, path, value, says):
+        bad, out = tmp_path / "bad.json", tmp_path / "e.csv"
+        bad.write_text(json.dumps(
+            edited_report(path, value)(json.loads(GOLDEN_REPORT.read_text()))))
+        rc = run("simulate", "--report", str(bad), "--paths", "3",
+                 "--days", "2000", "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:") and says in err[0]
+        assert not out.exists()
+
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
             raise MemoryError
@@ -307,7 +324,7 @@ class TestSynth:
                    "--sigma-override", "0", "--out", str(out)) == 0
         import numpy as np
 
-        from outemp import evaluate_seasonal_mean
+        from outemp.seasonal import evaluate_seasonal_mean
         from outemp.cli import DEFAULT_SEASONAL
         series = parse_csv(out.read_text())
         expected = evaluate_seasonal_mean(DEFAULT_SEASONAL, np.arange(365))

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from outemp import TemperatureSeries, parse_csv, serialize_csv
+from outemp import TemperatureSeries, parse_csv
+from outemp.series import serialize_csv
 from outemp.cli import main
 
 DATA = Path(__file__).parent / "data"

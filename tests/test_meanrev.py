@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from outemp import EstimationError, SeasonalMeanParams, estimate_kappa
-from outemp.meanrev import estimating_function
+from outemp import EstimationError
+from outemp.meanrev import estimate_kappa, estimating_function
+from outemp.seasonal import SeasonalMeanParams
 from outemp.series import TemperatureSeries, leap_free_days
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
@@ -96,7 +97,8 @@ class TestEstimateKappa:
             estimate_kappa(s, FLAT, vols)
 
     def test_refit_after_constant_shift_invariant(self):
-        from outemp import fit_seasonal_mean, monthly_quadratic_variation
+        from outemp.seasonal import fit_seasonal_mean
+        from outemp.volatility import monthly_quadratic_variation
         rng = np.random.default_rng(10)
         n = 730
         t = np.arange(n)

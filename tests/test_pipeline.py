@@ -1,11 +1,15 @@
 import copy
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from outemp import (EstimationError, evaluate_model, evaluate_seasonal_mean,
-                    fit_full_model, generate_synthetic_series,
+import outemp
+from outemp import (EstimationError, evaluate_model, fit_full_model,
                     report_from_dict, report_to_dict)
+from outemp.seasonal import evaluate_seasonal_mean
+from outemp.simulate import generate_synthetic_series
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
 from outemp.errors import InputError
 
@@ -133,3 +137,28 @@ class TestReportSerialization:
         payload = json.dumps(report_to_dict(synthetic_report))
         assert report_to_dict(report_from_dict(json.loads(payload))) == \
             report_to_dict(synthetic_report)
+
+
+class TestPublicSurface:
+    NAMES = ["EstimationError", "FitMetrics", "FitReport", "InputError",
+             "TemperatureSeries", "evaluate_model", "fit_full_model", "parse_csv",
+             "report_from_dict", "report_to_dict", "strip_leap_days"]
+
+    def test_all_is_the_eleven_names(self):
+        assert sorted(outemp.__all__) == self.NAMES
+        assert all(getattr(outemp, name) is not None for name in self.NAMES)
+        namespace = {}
+        exec("from outemp import *", namespace)
+        assert sorted(k for k in namespace if k != "__builtins__") == self.NAMES
+
+    def test_readme_library_example_runs(self):
+        root = Path(__file__).parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1]
+        code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+        csv = root / "tests" / "data" / "synth_4y_seed0.csv"
+        namespace = {}
+        exec(code.replace('"data.csv"', repr(str(csv))), namespace)
+        assert isinstance(namespace["report"], outemp.FitReport)
+        assert isinstance(namespace["metrics"], outemp.FitMetrics)
+        assert np.isfinite(namespace["metrics"].rmse)

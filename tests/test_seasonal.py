@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from outemp import (EstimationError, SeasonalMeanParams, TemperatureSeries,
-                    evaluate_seasonal_mean, fit_seasonal_mean, r_squared,
-                    recover_amplitude_phase, residuals)
-from outemp.seasonal import design_matrix, ols_fit
+from outemp import EstimationError, TemperatureSeries
+from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
+                             fit_seasonal_mean, ols_fit, recover_amplitude_phase,
+                             residuals)
+from outemp.stats import r_squared
 from outemp.series import leap_free_days
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outemp import InputError, parse_csv, serialize_csv, strip_leap_days
+from outemp import InputError, parse_csv, strip_leap_days
 from outemp import series as series_module
 from outemp.seasonal import design_matrix
 from outemp.series import (TemperatureSeries, _civil, is_leap_day, leap_free_days,
-                           month_index)
+                           month_index, serialize_csv)
 
 
 def make_csv(rows, header="date,t_avg_c"):

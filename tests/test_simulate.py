@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from outemp import (InputError, SeasonalMeanParams, SimulationConfig,
-                    VolatilityModelParams, evaluate_seasonal_mean,
-                    generate_synthetic_series, parse_csv, serialize_csv,
-                    simulate_paths)
+from outemp import InputError, parse_csv
 from outemp import simulate
-from outemp.series import leap_free_days, month_index
-from outemp.simulate import VOL_FLOOR, _vol_recursion, day_blocks
+from outemp.seasonal import SeasonalMeanParams, evaluate_seasonal_mean
+from outemp.series import leap_free_days, month_index, serialize_csv
+from outemp.simulate import (VOL_FLOOR, SimulationConfig, _vol_recursion, day_blocks,
+                             generate_synthetic_series, simulate_paths)
+from outemp.volatility import VolatilityModelParams
 
 SEASONAL = SeasonalMeanParams(26.4, -7.58e-5, 1.75, 0.531, 0.5062)
 FLAT = SeasonalMeanParams(26.0, 0.0, 0.0, 0.0, 0.0)
@@ -195,6 +195,14 @@ class TestSimulatePaths:
     def test_invalid_kappa(self):
         with pytest.raises(InputError):
             simulate_paths(SEASONAL, 0.0, VOL, config(), START)
+
+    def test_kappa_outside_euler_stable_range(self):
+        with pytest.raises(InputError, match="kappa_t 2.0 is outside 0 < kappa_t < 2"):
+            simulate_paths(SEASONAL, 2.0, VOL, config(), START)
+        with pytest.raises(InputError, match="kappa_t"):
+            generate_synthetic_series(SEASONAL, 2.5, VOL, 2000, 1, seed=0)
+        ens = simulate_paths(SEASONAL, 1.99, VOL, config(), START)
+        assert np.isfinite(ens.mean_path).all()
 
     def test_missing_vol_params(self):
         with pytest.raises(InputError):

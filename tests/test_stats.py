@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from outemp import InputError, anderson_darling_normal, describe, mape, r_squared, rmse
-from outemp.stats import _ad_p_value, _log_ndtr_both, fit_metrics, format_p_value
+from outemp import InputError
+from outemp.stats import (_ad_p_value, _log_ndtr_both, anderson_darling_normal, describe,
+                          fit_metrics, format_p_value, mape, r_squared, rmse)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)

@@ -1,13 +1,15 @@
+import dataclasses
 import datetime as dt
 import math
 
 import numpy as np
 import pytest
 
-from outemp import (EstimationError, InputError, MonthlyVolatility,
-                    MonthlyVolatilitySeries, VolatilityModelParams,
-                    estimate_kappa_sigma, estimate_sigma_bar,
-                    estimate_sigma_sigma, monthly_quadratic_variation)
+from outemp import EstimationError, InputError
+from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
+                               VolatilityModelParams, estimate_kappa_sigma,
+                               estimate_sigma_bar, estimate_sigma_sigma,
+                               monthly_quadratic_variation)
 from outemp.series import TemperatureSeries, leap_free_days
 
 
@@ -52,6 +54,20 @@ class TestMonthlyQuadraticVariation:
         a = monthly_quadratic_variation(s0).sigmas
         b = monthly_quadratic_variation(s1).sigmas
         assert np.allclose(a, b, atol=1e-12)
+
+    def test_sigmas_built_once_and_read_only(self):
+        vols = vols_from_sigmas([0.5, 1.5, 1.0])
+        assert vols.sigmas is vols.sigmas
+        assert vols.sigmas.tolist() == [0.5, 1.5, 1.0]
+        with pytest.raises(ValueError):
+            vols.sigmas[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vols.sigmas = np.zeros(3)
+        with pytest.raises(TypeError):
+            MonthlyVolatilitySeries(entries=vols.entries, sigmas=np.zeros(3))
+        twin = vols_from_sigmas([0.5, 1.5, 1.0])
+        assert twin == vols and hash(twin) == hash(vols)
+        assert twin.sigmas is not vols.sigmas
 
     def test_single_day_month_rejected(self):
         s = series_from_temps([25.0, 25.0, 25.0], dt.date(2001, 3, 30))
