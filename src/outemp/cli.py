@@ -107,6 +107,9 @@ def run_fit(args) -> int:
     print("Mean reversion")
     print(f"  kappa_T                    {report.kappa.kappa_t:.6g}")
     print(f"  daily adjustment fraction  {report.kappa.daily_adjustment_fraction:.4f}")
+    if unstable := simulate.unstable_kappa_t(report.kappa.kappa_t):
+        print(f"note: {unstable}; simulate and evaluate will refuse this report",
+              file=sys.stderr)
     return 0
 
 

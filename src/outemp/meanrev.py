@@ -22,6 +22,7 @@ import numpy as np
 from .errors import EstimationError, InputError
 from .seasonal import SeasonalMeanParams, residuals
 from .series import TemperatureSeries, month_index
+from .stats import lag1_rate
 from .volatility import MonthlyVolatilitySeries
 
 
@@ -74,20 +75,8 @@ def estimate_kappa(series: TemperatureSeries, seasonal: SeasonalMeanParams,
         raise InputError("need at least 3 observations to estimate kappa")
     r = residuals(series, seasonal)
     w = transition_weights(series, vols)
-    denom = float(np.sum(w * r[:-1] * r[:-1]))
-    if denom == 0.0:
-        raise EstimationError("all lagged residuals are zero",
-                              stage="mean_reversion")
-    ratio = float(np.sum(w * r[:-1] * r[1:])) / denom
-    if ratio <= 0.0:
-        raise EstimationError(
-            f"residuals anti-persistent (lag-1 ratio {ratio:.6g} <= 0), "
-            "log undefined", stage="mean_reversion", ratio=ratio)
-    if ratio >= 1.0:
-        raise EstimationError(
-            f"residuals not mean-reverting (lag-1 ratio {ratio:.6g} >= 1)",
-            stage="mean_reversion", ratio=ratio)
-    kappa = -math.log(ratio)
+    kappa = lag1_rate(r, w, "mean_reversion", "residuals",
+                      "all lagged residuals are zero")
     return MeanReversionEstimate(
         kappa_t=kappa,
         g_at_kappa=estimating_function(r, w, kappa),

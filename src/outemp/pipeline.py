@@ -14,11 +14,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import EstimationError, InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
 from .seasonal import SeasonalMeanParams, fit_seasonal_mean, residuals
 from .series import TemperatureSeries, is_leap_day, parse_iso_date
-from .simulate import SimulationConfig, simulate_paths
+from .simulate import SimulationConfig, simulate_paths, unstable_kappa_t
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
                     anderson_darling_normal, describe, fit_metrics)
 from .volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
@@ -90,10 +90,13 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
 
     The ensemble runs over the observed span with calendar-month
     volatility switching; T(0) defaults to the first observation. MAPE is
-    None when an observation is exactly 0.
+    None when an observation is exactly 0. A fitted kappa_t the Euler day
+    step cannot take raises EstimationError.
     """
     if n_paths < 2:
         raise InputError("evaluation needs at least 2 paths")
+    if unstable := unstable_kappa_t(report.kappa.kappa_t):
+        raise EstimationError(unstable, stage="mean_reversion")
     config = SimulationConfig(
         n_paths=n_paths,
         n_days=len(series),

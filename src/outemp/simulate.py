@@ -1,17 +1,15 @@
 """Euler-Maruyama Monte Carlo simulation of temperature paths.
 
-The daily recursion is
-
-    T(j+1) = T(j) + [m(j+1) - m(j)] + kappa * (m(j) - T(j)) + sigma_month(j) * Z_j
-
-with m the seasonal mean, a unit day step, and sigma_month piecewise
-constant over the calendar months of the leap-free calendar from the
-start date, the months it is estimated on. Each path's monthly
-volatility starts at sigma(0) = sigma_bar and follows its own
-unit-month Euler recursion sigma(n) = sigma(n-1) +
-kappa_sigma*(sigma_bar - sigma(n-1)) + sigma_sigma*Z_h, floored at a
-small epsilon because the Gaussian increment admits negative values the
-temperature equation cannot use.
+Both layers are Ornstein-Uhlenbeck processes with one Euler step,
+:func:`_ou_steps`: x' = max(x + dm + kappa*(m - x) + noise, lo). Daily
+temperature reverts to the seasonal mean m at kappa_T, with dm the change
+of m over the unit day, noise sigma_month * Z and no floor; sigma_month
+is piecewise constant over the calendar months of the leap-free calendar
+from the start date, the months it is estimated on. Each path's monthly
+volatility starts at sigma_bar and reverts to it at kappa_sigma per unit
+month, with dm = 0, noise sigma_sigma * Z and lo = VOL_FLOOR, because the
+Gaussian increment admits negative values the temperature equation
+cannot use.
 
 Reproducibility contract: all variates come from numpy's PCG64
 generator; path p is seeded with the sequence [master_seed, p] and draws
@@ -30,14 +28,14 @@ one more block-sized summary buffer. A consumer that needs the whole
 path matrix replays the blocks, which the seeding contract makes exact.
 
 A one-path ensemble (every synthetic series) steps Python floats
-instead of 1-element rows, in the volatility recursion and in the day
-loop, which spares numpy's per-call overhead on each operation. The bits
-are the same: a Python float ``+``, ``-`` or ``*`` is one IEEE-754
-double operation rounded to nearest, exactly what the float64 ufunc does
-on a 1-element row; :func:`_vol_month` and :func:`_euler_day` apply them
-in the same order on both routes, and ``max`` floors a float to the
-value ``np.maximum`` gives. :func:`generate_synthetic_series` reads its
-path straight from the blocks of :func:`day_blocks`.
+instead of 1-element rows, in both layers, which spares numpy's
+per-call overhead on each operation. The bits are the same: a Python
+float ``+``, ``-`` or ``*`` is one IEEE-754 double operation rounded to
+nearest, exactly what the float64 ufunc does on a 1-element row;
+:func:`_ou_steps` applies them in the same order on both routes, and
+``lo if x < lo else x`` floors a float to the value ``np.maximum`` gives.
+:func:`generate_synthetic_series` reads its path straight from the
+blocks of :func:`day_blocks`.
 """
 
 from __future__ import annotations
@@ -90,35 +88,43 @@ def _vol_recursion(vol: VolatilityModelParams, sigma: np.ndarray) -> np.ndarray:
     """Monthly recursion in place over a (months, paths) array: row 0
     holds the starting values and row k >= 1 month k's normals, which
     are replaced by month k's sigma. Every value is floored at VOL_FLOOR.
-
-    Two or more paths step one month row at a time; a single path steps
-    Python floats through the same :func:`_vol_month`, and ``max``
-    floors a float to the same bits as ``np.maximum``.
     """
-    if sigma.shape[1] == 1:
-        s = max(sigma[0, 0].item(), VOL_FLOOR)
-        months = [s]
-        for z in sigma[1:, 0].tolist():
-            s = max(_vol_month(s, z, vol), VOL_FLOOR)
-            months.append(s)
-        sigma[:, 0] = months
-        return sigma
-    sigma[0] = np.maximum(sigma[0], VOL_FLOOR)
-    for k in range(1, len(sigma)):
-        sigma[k] = np.maximum(_vol_month(sigma[k - 1], sigma[k], vol), VOL_FLOOR)
-    return sigma
+    np.maximum(sigma[0], VOL_FLOOR, out=sigma[0])
+    sigma[1:] *= vol.sigma_sigma
+    # x + 0.0 is x for the floored, positive sigmas: dm = 0 adds nothing.
+    return _ou_steps(sigma, 0.0, vol.sigma_bar, vol.kappa_sigma, VOL_FLOOR)
 
 
-def _vol_month(s, z, vol: VolatilityModelParams):
-    """Volatility one month after s, before the floor: the Euler step
-    towards sigma_bar with the month's normal z."""
-    return s + vol.kappa_sigma * (vol.sigma_bar - s) + vol.sigma_sigma * z
+def _ou_steps(rows: np.ndarray, dm, m, kappa: float, lo: float) -> np.ndarray:
+    """The Euler step of both OU layers, in place over a (steps + 1,
+    paths) array: row 0 holds the start, and row k the noise of step k,
+    replaced by ``max(x + dm + kappa * (m - x) + noise, lo)`` with x row
+    k - 1; ``dm`` and ``m`` are scalars or hold one value per step. Two or
+    more paths step one row at a time, a single path Python floats."""
+    n_steps = len(rows) - 1
+    dm, m = np.broadcast_to(dm, n_steps), np.broadcast_to(m, n_steps)
+    if rows.shape[1] == 1:
+        x = rows[0, 0].item()
+        steps = [x]
+        for dm_k, m_k, noise in zip(dm.tolist(), m.tolist(), rows[1:, 0].tolist()):
+            x = x + dm_k + kappa * (m_k - x) + noise
+            x = lo if x < lo else x   # max(x, lo) without the call's cost
+            steps.append(x)
+        rows[:, 0] = steps
+        return rows
+    for k in range(n_steps):
+        np.maximum(rows[k] + dm[k] + kappa * (m[k] - rows[k]) + rows[k + 1], lo,
+                   out=rows[k + 1])
+    return rows
 
 
-def _euler_day(x, dm, m, kappa, noise):
-    """Temperature one day after x: the Euler step from seasonal mean m,
-    with dm the change of the mean over the day."""
-    return x + dm + kappa * (m - x) + noise
+def unstable_kappa_t(kappa_t: float) -> str | None:
+    """Why the Euler day step cannot take ``kappa_t`` (|1 - kappa_t| >= 1
+    makes deviations grow), or None when it is below 2."""
+    if kappa_t >= 2:
+        return (f"kappa_t {kappa_t!r} is outside 0 < kappa_t < 2, "
+                "the stable range of the Euler day step")
+    return None
 
 
 def day_blocks(seasonal: SeasonalMeanParams, kappa,
@@ -131,17 +137,15 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     ``block`` is a new C-contiguous ``(days_in_block, n_paths)`` array
     whose row i holds day ``first_day + i`` of every path.
 
-    Two or more paths step one day row at a time; a single path steps
-    Python floats, with the same draws and the same operations in the
-    same order, so it equals column 0 of any larger ensemble with its
-    seed bit for bit.
+    Each block steps through :func:`_ou_steps` from the day before it,
+    with the same draws and operations for any number of paths, so one
+    path equals column 0 of any larger ensemble with its seed bit for bit.
     """
     kappa_t = float(getattr(kappa, "kappa_t", kappa))
     if kappa_t <= 0:
         raise InputError("kappa must be positive")
-    if kappa_t >= 2:
-        raise InputError(f"kappa_t {kappa_t!r} is outside 0 < kappa_t < 2, "
-                         "the stable range of the Euler day step")
+    if unstable := unstable_kappa_t(kappa_t):
+        raise InputError(unstable)
     override = config.constant_vol_override
     if override is None and vol is None:
         raise InputError("volatility parameters required without a constant override")
@@ -177,18 +181,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
         # The indices are in range; mode="raise" would gather into a hidden copy.
         np.take(sigma, month_idx[j0:stop - 1], axis=0, out=rows[1:], mode="clip")
         rows[1:] *= z[:, :n_steps].T
-        dm = np.diff(m[j0:stop])
-        if n_paths == 1:
-            x = rows[0, 0].item()
-            steps = [x]
-            for dm_k, m_k, noise_k in zip(dm.tolist(), m[j0:stop - 1].tolist(),
-                                          rows[1:, 0].tolist()):
-                x = _euler_day(x, dm_k, m_k, kappa_t, noise_k)
-                steps.append(x)
-            rows[:, 0] = steps
-        else:
-            for k in range(n_steps):
-                rows[k + 1] = _euler_day(rows[k], dm[k], m[j0 + k], kappa_t, rows[k + 1])
+        _ou_steps(rows, np.diff(m[j0:stop]), m[j0:stop - 1], kappa_t, -math.inf)
         last = rows[-1].copy()
         yield first, rows[first - j0:]
         # Without this reference a block the consumer has released is

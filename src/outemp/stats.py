@@ -1,5 +1,6 @@
-"""Descriptive statistics, composite-normal Anderson-Darling test, and
-fit metrics (RMSE, MAPE, R^2).
+"""Descriptive statistics, composite-normal Anderson-Darling test, fit
+metrics (RMSE, MAPE, R^2), and the lag-1 reversion rate both OU layers
+are estimated with.
 
 Only numpy and the standard library are needed. The Anderson-Darling
 test takes its log normal CDF and log survival function from one
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import EstimationError, InputError
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,27 @@ def fit_metrics(obs, pred) -> FitMetrics:
     return FitMetrics(rmse=rmse(o, p),
                       mape_pct=mape(o, p) if np.all(o != 0.0) else None,
                       r_squared=r_squared(o, p))
+
+
+def lag1_rate(x: np.ndarray, w, stage: str, what: str, if_zero: str) -> float:
+    """Reversion rate -log(sum w x_{j-1} x_j / sum w x_{j-1}^2) of the
+    deviations ``x``, with ``w`` a weight per transition or a scalar. A
+    zero denominator, or a ratio outside (0, 1), raises EstimationError
+    of ``stage``: ``if_zero``, or a message naming ``what`` with the ratio."""
+    lagged = w * x[:-1]
+    denom = float(np.sum(lagged * x[:-1]))
+    if denom == 0.0:
+        raise EstimationError(if_zero, stage=stage)
+    ratio = float(np.sum(lagged * x[1:])) / denom
+    if ratio <= 0.0:
+        raise EstimationError(
+            f"{what} anti-persistent (lag-1 ratio {ratio:.6g} <= 0), "
+            "log undefined", stage=stage, ratio=ratio)
+    if ratio >= 1.0:
+        raise EstimationError(
+            f"{what} not mean-reverting (lag-1 ratio {ratio:.6g} >= 1)",
+            stage=stage, ratio=ratio)
+    return -math.log(ratio)
 
 
 def format_p_value(p: float) -> str:

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, InputError
+from .errors import InputError
 from .series import TemperatureSeries, month_index
+from .stats import lag1_rate
 
 
 @dataclass(frozen=True)
@@ -104,21 +105,9 @@ def estimate_kappa_sigma(vols: MonthlyVolatilitySeries, sigma_bar: float) -> flo
     """
     if len(vols) < 3:
         raise InputError("need at least 3 months to estimate kappa_sigma")
-    d = vols.sigmas - sigma_bar
-    denom = float(np.sum(d[:-1] * d[:-1]))
-    if denom == 0.0:
-        raise EstimationError("all monthly volatilities equal sigma_bar",
-                              stage="volatility")
-    ratio = float(np.sum(d[:-1] * d[1:])) / denom
-    if ratio <= 0.0:
-        raise EstimationError(
-            f"volatility deviations anti-persistent (lag-1 ratio {ratio:.6g} <= 0), "
-            "log undefined", stage="volatility", ratio=ratio)
-    if ratio >= 1.0:
-        raise EstimationError(
-            f"volatility process not mean-reverting (lag-1 ratio {ratio:.6g} >= 1)",
-            stage="volatility", ratio=ratio)
-    return -math.log(ratio)
+    return lag1_rate(vols.sigmas - sigma_bar, 1.0, "volatility",
+                     "volatility deviations",
+                     "all monthly volatilities equal sigma_bar")
 
 
 def fit_volatility_model(vols: MonthlyVolatilitySeries) -> VolatilityModelParams:

@@ -306,6 +306,49 @@ class TestEvaluate:
         assert len(err) == 1 and err[0].startswith("note: MAPE undefined")
 
 
+class TestUnstableKappa:
+    """A valid CSV whose fitted kappa_T is 2 or more: the seasonal mean
+    plus i.i.d. N(0, 1) noise, whose residuals have no day-to-day
+    persistence (weighted lag-1 ratio near 0, kappa_T 3.61)."""
+
+    @pytest.fixture()
+    def iid_csv(self, tmp_path):
+        t = np.arange(1461)
+        days = (np.datetime64("2001-01-01") + t).astype(str).tolist()
+        temps = (26.4 + 1.75 * np.sin(2 * np.pi * t / 365 + 0.531)
+                 + np.random.default_rng(0).standard_normal(t.size))
+        path = tmp_path / "iid.csv"
+        path.write_text("date,t_avg_c\n" + "".join(
+            f"{d},{x!r}\n" for d, x in zip(days, temps.tolist())))
+        return path
+
+    def test_fit_exits_0_with_a_note(self, iid_csv, tmp_path, capsys):
+        assert run("fit", "--input", str(iid_csv), "--out", str(tmp_path / "r.json")) == 0
+        captured = capsys.readouterr()
+        assert "kappa_T                    3.61" in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("note: kappa_t 3.61")
+        assert "0 < kappa_t < 2" in err[0] and "simulate and evaluate" in err[0]
+
+    def test_evaluate_exits_3(self, iid_csv, capsys):
+        assert run("evaluate", "--input", str(iid_csv), "--paths", "20") == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith("estimation failure: [mean_reversion] kappa_t 3.61")
+        assert "0 < kappa_t < 2" in err[0]
+
+    def test_simulate_on_its_report_exits_2(self, iid_csv, tmp_path, capsys):
+        report, out = tmp_path / "r.json", tmp_path / "e.csv"
+        assert run("fit", "--input", str(iid_csv), "--out", str(report)) == 0
+        capsys.readouterr()
+        assert run("simulate", "--report", str(report), "--paths", "3",
+                   "--days", "100", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: kappa_t 3.61")
+        assert not out.exists()
+
+
 class TestSynth:
     def test_round_trips_into_parser(self, small_synth):
         series = parse_csv(small_synth.read_text())

@@ -192,6 +192,36 @@ class TestSimulatePaths:
             return path_matrix(SEASONAL, 0.1872, wild, cfg, START)
         assert np.array_equal(stacked(1)[0], stacked(3)[0])
 
+        # Both layers equal, bit for bit, a loop over each path with the
+        # model's formulas: the month step floored at VOL_FLOOR, then the
+        # day step with that month's sigma.
+        month_idx, _ = month_index(leap_free_days(START, n_days))
+        m = evaluate_seasonal_mean(SEASONAL, np.arange(n_days))
+        dm = np.diff(m)
+        ref_sigma = np.empty((n_months, 3))
+        ref_temps = np.empty((3, n_days))
+        for p in range(3):
+            rng = np.random.default_rng([5, p])
+            s = wild.sigma_bar
+            months = [s]
+            for z in rng.standard_normal(n_months - 1).tolist():
+                s = max(s + wild.kappa_sigma * (wild.sigma_bar - s) + wild.sigma_sigma * z,
+                        VOL_FLOOR)
+                months.append(s)
+            ref_sigma[:, p] = months
+            x = evaluate_seasonal_mean(SEASONAL, 0)
+            days = [x]
+            for j, z in enumerate(rng.standard_normal(n_days - 1).tolist()):
+                noise = months[month_idx[j]] * z
+                x = x + dm[j] + 0.1872 * (m[j] - x) + noise
+                days.append(x)
+            ref_temps[p] = days
+        assert np.count_nonzero(ref_sigma == VOL_FLOOR) > 0
+        assert np.array_equal(one[:, 0], ref_sigma[:, 0])
+        assert np.array_equal(sigma, ref_sigma)
+        assert np.array_equal(stacked(1), ref_temps[:1])
+        assert np.array_equal(stacked(3), ref_temps)
+
     def test_invalid_kappa(self):
         with pytest.raises(InputError):
             simulate_paths(SEASONAL, 0.0, VOL, config(), START)

@@ -1,11 +1,19 @@
+import datetime as dt
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from outemp import InputError
+from outemp import EstimationError, InputError
+from outemp.meanrev import estimate_kappa
+from outemp.seasonal import SeasonalMeanParams
+from outemp.series import TemperatureSeries, leap_free_days
 from outemp.stats import (_ad_p_value, _log_ndtr_both, anderson_darling_normal, describe,
-                          fit_metrics, format_p_value, mape, r_squared, rmse)
+                          fit_metrics, format_p_value, lag1_rate, mape, r_squared, rmse)
+from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
+                               estimate_kappa_sigma)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -171,3 +179,48 @@ class TestMetrics:
 def test_format_p_value():
     assert format_p_value(0.0005) == "<0.001"
     assert format_p_value(0.25) == "0.250"
+
+
+class TestLag1Rate:
+    @pytest.mark.parametrize("x, ratio", [
+        ([1.0, -1.0, 1.0, -1.0], -1.0),
+        ([1.0, 2.0, 4.0], 2.0),
+    ], ids=["ratio-below-0", "ratio-above-1"])
+    def test_ratio_outside_unit_interval(self, x, ratio):
+        with pytest.raises(EstimationError, match="lag-1 ratio") as exc:
+            lag1_rate(np.array(x), 1.0, "some_stage", "deviations", "all zero")
+        assert exc.value.stage == "some_stage"
+        assert exc.value.ratio == ratio
+        assert str(exc.value).startswith("[some_stage] deviations ")
+
+    def test_zero_denominator(self):
+        with pytest.raises(EstimationError) as exc:
+            lag1_rate(np.array([0.0, 0.0, 3.0]), np.array([1.0, 2.0]),
+                      "some_stage", "deviations", "all lagged deviations are zero")
+        assert exc.value.stage == "some_stage" and exc.value.ratio is None
+        assert str(exc.value) == "[some_stage] all lagged deviations are zero"
+
+    def test_both_estimators_are_minus_log_of_the_ratio(self):
+        rng = np.random.default_rng(3)
+        x = np.empty(400)
+        x[0] = 1.0
+        for j in range(1, 400):
+            x[j] = 0.7 * x[j - 1] + rng.normal()
+        # Residuals about a zero mean are the temperatures themselves, and
+        # a constant monthly sigma of 2.5 weighs every transition 0.16.
+        series = TemperatureSeries(dates=leap_free_days(dt.date(2001, 1, 1), 400), temps=x)
+        months = sorted({(d.year, d.month) for d in series.dates.tolist()})
+        vols = MonthlyVolatilitySeries(entries=tuple(
+            MonthlyVolatility(y, m, 2.5) for y, m in months))
+        w = np.full(399, 1.0 / 2.5 ** 2)
+        ratio = float(np.sum(w * x[:-1] * x[1:])) / float(np.sum(w * x[:-1] * x[:-1]))
+        flat = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
+        assert estimate_kappa(series, flat, vols).kappa_t == -math.log(ratio)
+
+        sigmas = 1.0 + 0.1 * x[:40]
+        entries = tuple(MonthlyVolatility(2000 + i // 12, i % 12 + 1, s)
+                        for i, s in enumerate(sigmas.tolist()))
+        d = sigmas - 0.9
+        ratio = float(np.sum(d[:-1] * d[1:])) / float(np.sum(d[:-1] * d[:-1]))
+        assert estimate_kappa_sigma(MonthlyVolatilitySeries(entries=entries),
+                                    0.9) == -math.log(ratio)
