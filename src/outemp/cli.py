@@ -16,7 +16,7 @@ import numpy as np
 from . import pipeline, simulate, stats
 from .errors import EstimationError, InputError
 from .seasonal import SeasonalMeanParams
-from .series import parse_csv, serialize_csv, strip_leap_days
+from .series import float_rows, parse_csv, serialize_csv, strip_leap_days
 from .volatility import VolatilityModelParams
 
 # Reference parameter set used by `synth` when no report is supplied.
@@ -26,9 +26,14 @@ DEFAULT_KAPPA_T = 0.1872
 DEFAULT_VOL = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=0.419,
                                     kappa_sigma=0.989)
 
+# Most values `_write_day_rows` formats at once: a whole 1000-path block
+# would hold about 20 MB of reprs, and larger chunks write no faster.
+CHUNK_VALUES = 2 ** 12
+
 
 def _load_series(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheets write.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             raw = parse_csv(fh.read())
         except UnicodeDecodeError as exc:
@@ -90,9 +95,10 @@ def run_fit(args) -> int:
         json.dump(pipeline.report_to_dict(report), fh, indent=2)
     if args.vols_csv:
         with open(args.vols_csv, "w", encoding="utf-8") as fh:
+            vols = report.monthly_vols
             fh.write("year,month,sigma\n")
-            for e in report.monthly_vols.entries:
-                fh.write(f"{e.year},{e.month},{e.sigma!r}\n")
+            fh.write(float_rows("".join(f"{e.year},{e.month}\n" for e in vols.entries),
+                                vols.sigmas[:, np.newaxis]))
     s = report.seasonal
     print("Seasonal mean function")
     print(f"  a_T    {s.a_t:.6g}")
@@ -148,12 +154,15 @@ def run_simulate(args) -> int:
 
 def _write_day_rows(path: str, columns: str, blocks) -> None:
     """A `day,<columns>` CSV of the rows of ``(first_day, 2-D array)``
-    blocks, as plain float reprs."""
+    blocks, written by :func:`float_rows` at most CHUNK_VALUES values at
+    a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"day,{columns}\n")
         for first, rows in blocks:
-            fh.writelines(f"{day},{','.join(map(repr, row.tolist()))}\n"
-                          for day, row in enumerate(rows, first))
+            step = max(1, CHUNK_VALUES // rows.shape[1])
+            for i in range(0, len(rows), step):
+                days = range(first + i, first + min(i + step, len(rows)))
+                fh.write(float_rows("".join(f"{d}\n" for d in days), rows[i:i + step]))
             # Released before the blocks' source makes the next block.
             del rows
 

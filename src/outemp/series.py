@@ -12,7 +12,8 @@ Every calendar question is answered from one integer civil calendar:
 :func:`_civil` turns ``datetime64[D]`` day numbers into year, month and
 day arrays with a dozen integer operations (Hinnant's days-to-civil).
 Leap days, month numbering and the date text that :func:`serialize_csv`
-writes all come from it.
+writes all come from it. :func:`float_rows` writes every float of every
+CSV the package outputs.
 """
 
 from __future__ import annotations
@@ -305,28 +306,39 @@ def _parse_number(fieldtext: str, what: str, lineno: int) -> float:
     return value
 
 
+def float_rows(leads: str, values: np.ndarray) -> str:
+    """CSV rows of plain floats: row i is line i of ``leads`` (its key
+    text, with no ``%``) followed by ``,repr(v)`` for each v in row i of
+    the 2-D ``values``.
+
+    The only writer of an output float: one ``%`` format, in which ``,%r``
+    goes before each newline of ``leads`` and ``%r`` of a float is its
+    ``repr``. Float reprs never need CSV quoting.
+    """
+    template = leads.replace("\n", ",%r" * values.shape[1] + "\n")
+    return template % tuple(values.ravel().tolist())
+
+
 def serialize_csv(series: TemperatureSeries) -> str:
     """Inverse of :func:`parse_csv`; round-trips exactly.
 
-    The text is one ``%`` format: each row of the template is the date
-    followed by ``,%r`` per value column, and ``%r`` of a float is its
-    ``repr``. Dates and float reprs never need CSV quoting. Dates outside
-    years 1..9999, which ``YYYY-MM-DD`` cannot write, raise InputError.
+    Dates are written ``YYYY-MM-DD`` from one byte template and the values
+    by :func:`float_rows`. Dates outside years 1..9999, which
+    ``YYYY-MM-DD`` cannot write, raise InputError.
     """
     year, month, day = _civil(series.dates)
     if year[0] < 1 or year[-1] > 9999:
         raise InputError(f"dates {series.dates[0]} .. {series.dates[-1]} "
                          "outside years 1..9999")
     columns = [series.temps] if series.precip is None else [series.temps, series.precip]
-    tail = ",%r" * len(columns) + "\n"
     stamp = ((year * 100 + month) * 100 + day).astype(np.int32)   # YYYYMMDD
-    rows = np.empty((len(stamp), 10 + len(tail)), np.uint8)
-    rows[:] = np.frombuffer(f"YYYY-MM-DD{tail}".encode("ascii"), np.uint8)
+    dates = np.empty((len(stamp), 11), np.uint8)
+    dates[:] = np.frombuffer(b"YYYY-MM-DD\n", np.uint8)
     for col, place in _DATE_DIGITS:
-        rows[:, col] = ord("0") + stamp // place % 10
+        dates[:, col] = ord("0") + stamp // place % 10
     header = ",".join(CSV_HEADER[:1 + len(columns)])
-    values = np.column_stack(columns).ravel().tolist()   # row by row
-    return f"{header}\n{rows.tobytes().decode('ascii')}" % tuple(values)
+    return f"{header}\n" + float_rows(dates.tobytes().decode("ascii"),
+                                      np.column_stack(columns))
 
 
 def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:

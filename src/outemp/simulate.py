@@ -70,8 +70,10 @@ class SimulationConfig:
             raise InputError("n_paths and n_days must be >= 1")
         if self.master_seed < 0:
             raise InputError("master_seed must be non-negative")
-        if self.constant_vol_override is not None and self.constant_vol_override < 0:
-            raise InputError("constant_vol_override must be non-negative")
+        override = self.constant_vol_override
+        # The negated test also refuses nan, which fails every comparison.
+        if override is not None and not 0 <= override < math.inf:
+            raise InputError("constant_vol_override must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,22 @@ class TestDescribe:
         assert len(err) == 1 and err[0].startswith("input error: line 3")
 
 
+@pytest.mark.parametrize("command", ["describe", "fit", "evaluate"])
+def test_byte_order_mark_is_ignored(small_synth, tmp_path, capsys, command):
+    # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + small_synth.read_bytes())
+    outputs = []
+    for path in (small_synth, bom):
+        report = tmp_path / f"{path.stem}.json"
+        argv = {"describe": [], "fit": ["--out", str(report)],
+                "evaluate": ["--paths", "20"]}[command]
+        assert run(command, "--input", str(path), *argv) == 0
+        outputs.append((capsys.readouterr().out,
+                        report.read_bytes() if report.exists() else None))
+    assert outputs[0] == outputs[1]
+
+
 class TestFit:
     def test_fit_synthetic(self, small_synth, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -114,6 +130,9 @@ class TestFit:
         lines = vols_path.read_text().strip().splitlines()
         assert lines[0] == "year,month,sigma"
         assert len(lines) == 1 + 48
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(int(y), int(m), float(s)) for y, m, s in rows] == [
+            (e.year, e.month, e.sigma) for e in report.monthly_vols.entries]
         out = capsys.readouterr().out
         assert "kappa_T" in out and "a_T" in out
 
@@ -156,6 +175,24 @@ class TestSimulate:
         lines = matrix.read_text().strip().splitlines()
         assert lines[0] == "day,path_0,path_1,path_2"
         assert len(lines) == 6
+
+    def test_full_paths_parse_back_to_day_blocks(self, tmp_path):
+        # 60 paths of 365-row blocks span several writer chunks each.
+        matrix = tmp_path / "paths.csv"
+        assert run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "60",
+                   "--days", "800", "--seed", "0", "--out", str(tmp_path / "e.csv"),
+                   "--full-paths", str(matrix)) == 0
+        report = report_from_dict(json.loads(GOLDEN_REPORT.read_text()))
+        config = SimulationConfig(
+            n_paths=60, n_days=800, master_seed=0,
+            t0_temp=evaluate_seasonal_mean(report.seasonal, 0))
+        expected = np.concatenate([block for _, block in simulate.day_blocks(
+            report.seasonal, report.kappa, report.vol, config, report.meta.start)])
+        header, *lines = matrix.read_text().splitlines()
+        assert header == "day," + ",".join(f"path_{p}" for p in range(60))
+        rows = [line.split(",") for line in lines]
+        assert [int(row[0]) for row in rows] == list(range(800))
+        assert np.array_equal(np.array([row[1:] for row in rows], dtype=float), expected)
 
     def test_full_paths_writer_holds_one_block(self, tmp_path):
         # Writing the blocks of 1000 paths x 800 days holds day_blocks'
@@ -372,6 +409,15 @@ class TestSynth:
         series = parse_csv(out.read_text())
         expected = evaluate_seasonal_mean(DEFAULT_SEASONAL, np.arange(365))
         assert np.allclose(series.temps, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma_override_exit_2(self, tmp_path, capsys, value):
+        out = tmp_path / "s.csv"
+        assert run("synth", "--years", "1", "--sigma-override", value,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: constant_vol_override must be finite and non-negative"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--start-year", "0"],
                                       ["--start-year", "9999", "--years", "2"]],

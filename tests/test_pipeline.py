@@ -83,6 +83,13 @@ class TestEvaluateModel:
         assert 0.5 < metrics.rmse < 3.0
         assert 0.0 < metrics.mape_pct < 15.0
 
+    def test_infinite_override_is_refused_as_such(self, synthetic_series,
+                                                  synthetic_report):
+        # Not as an overflowing ensemble: the report itself is fine.
+        with pytest.raises(InputError, match="constant_vol_override must be finite"):
+            evaluate_model(synthetic_series, synthetic_report, n_paths=2, seed=0,
+                           constant_vol_override=float("inf"))
+
     def test_needs_two_paths(self, synthetic_series, synthetic_report):
         with pytest.raises(InputError):
             evaluate_model(synthetic_series, synthetic_report, n_paths=1, seed=0)

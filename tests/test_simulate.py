@@ -234,6 +234,12 @@ class TestSimulatePaths:
         ens = simulate_paths(SEASONAL, 1.99, VOL, config(), START)
         assert np.isfinite(ens.mean_path).all()
 
+    @pytest.mark.parametrize("override", [float("nan"), float("inf"), -1.0])
+    def test_override_must_be_finite_and_non_negative(self, override):
+        with pytest.raises(InputError, match="^constant_vol_override must be finite "
+                                             "and non-negative$"):
+            config(constant_vol_override=override)
+
     def test_missing_vol_params(self):
         with pytest.raises(InputError):
             simulate_paths(SEASONAL, 0.1872, None, config(), START)
