@@ -122,11 +122,12 @@ def run_fit(args) -> int:
 def _load_report(path: str) -> pipeline.FitReport:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return pipeline.report_from_dict(json.load(fh))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json.load(fh)
+        except ValueError as exc:   # bad UTF-8 or JSON, or an int of > 4300 digits
             raise InputError(f"invalid report JSON: {exc}") from None
-        except RecursionError:   # deep nesting, in json.load or the field check
+        except RecursionError:   # json.load's recursion, on deep nesting
             raise InputError("invalid report JSON: nested too deeply") from None
+    return pipeline.report_from_dict(payload)
 
 
 def run_simulate(args) -> int:

@@ -10,8 +10,8 @@ against the mean path.
 from __future__ import annotations
 
 import datetime as dt
-import math
-import operator
+import reprlib
+import sys
 from dataclasses import dataclass
 
 from .errors import EstimationError, InputError
@@ -117,13 +117,29 @@ _JSON_KEYS = {cls: tuple("r2" if name == "r_squared_fit" else name
               for cls in (SeasonalMeanParams, MeanReversionEstimate,
                           VolatilityModelParams, MonthlyVolatility,
                           DescriptiveSummary, NormalityTestResult, ReportMeta)}
-_READERS = {cls: operator.itemgetter(*keys) for cls, keys in _JSON_KEYS.items()}
-# Keys that hold a number (or a date), never a list or an object.
-_SCALAR_KEYS = set().union(*_JSON_KEYS.values())
+# Report fields that may be null: a constant sample's moments, the legacy
+# "metrics" MAPE and "meta.eval_seed". No other value may be null.
+_NULLABLE = {"skewness", "excess_kurtosis", "mape_pct", "eval_seed"}
+_FLOAT_MAX = sys.float_info.max
 
 
-def _from_json(cls, d: dict):
-    return cls(*_READERS[cls](d))
+def _number(key: str, value):
+    """``value`` if it is a float, or an int and not a bool, within the
+    finite floats, or a null that _NULLABLE allows; else InputError."""
+    if ((type(value) is int or isinstance(value, float))
+            and abs(value) <= _FLOAT_MAX or value is None and key in _NULLABLE):
+        return value
+    raise InputError(f"report field {key!r} is not a finite number: "
+                     f"{reprlib.repr(value)}")
+
+
+def _from_json(cls, d, **dates):
+    """A ``cls`` from the JSON object ``d``: each key of _JSON_KEYS[cls] is
+    one of ``dates`` or a :func:`_number`, and no other key is read."""
+    if not isinstance(d, dict):
+        raise InputError(f"report {cls.__name__} is not a JSON object: "
+                         f"{reprlib.repr(d)}")
+    return cls(*[dates[k] if k in dates else _number(k, d[k]) for k in _JSON_KEYS[cls]])
 
 
 def report_to_dict(report: FitReport) -> dict:
@@ -162,59 +178,42 @@ def report_to_dict(report: FitReport) -> dict:
     }
 
 
-# Report fields that may be null; other scalars but the dates are numbers.
-_NULLABLE = {"skewness", "excess_kurtosis", "precipitation", "metrics",
-             "mape_pct", "eval_seed"}
-
-
-def _check_scalars(node, key: str) -> None:
-    if isinstance(node, dict):
-        if key in _SCALAR_KEYS:
-            raise InputError(f"report field {key!r} is an object, not a number")
-        for k, value in node.items():
-            _check_scalars(value, k)
-    elif isinstance(node, list):
-        if key in _SCALAR_KEYS:
-            raise InputError(f"report field {key!r} is a list, not a number")
-        for value in node:
-            _check_scalars(value, key)
-    elif node is None and key in _NULLABLE or key in ("start", "end"):
-        return
-    elif (isinstance(node, bool) or not isinstance(node, (int, float))
-          or not math.isfinite(node)):
-        raise InputError(f"report field {key!r} is not a finite number: {node!r}")
-
-
 def report_from_dict(d: dict) -> FitReport:
     """Inverse of :func:`report_to_dict`; bad payloads raise InputError.
-    Unknown keys, "metrics" and "meta.eval_seed" pass the scalar check
-    and are then ignored."""
+    Each value is checked by the field that reads it; other keys are
+    ignored. A filled "metrics" and "meta.eval_seed" must hold finite
+    numbers or null, and are then ignored too."""
     if not isinstance(d, dict) or not isinstance(d.get("meta"), dict):
         raise InputError("report JSON must be an object with a 'meta' object")
-    version = d["meta"].get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise InputError(
-            f"unsupported report schema_version {version!r}; "
-            f"expected {SCHEMA_VERSION}")
-    _check_scalars(d, "report")
+    meta, metrics = d["meta"], d.get("metrics")
+    if (version := meta.get("schema_version")) != SCHEMA_VERSION:
+        raise InputError(f"unsupported report schema_version {version!r}; "
+                         f"expected {SCHEMA_VERSION}")
+    if not isinstance(metrics, (dict, type(None))):
+        raise InputError(f"report 'metrics' is not a JSON object: {reprlib.repr(metrics)}")
+    if not isinstance(vols := d.get("monthly_vols"), list):
+        raise InputError(f"report 'monthly_vols' is not a JSON list: {reprlib.repr(vols)}")
+    for key, value in [*(metrics or {}).items(), ("eval_seed", meta.get("eval_seed"))]:
+        _number(key, value)
     try:
-        desc, meta = d["descriptive"], d["meta"]
         report = FitReport(
             seasonal=_from_json(SeasonalMeanParams, d["seasonal"]),
             kappa=_from_json(MeanReversionEstimate, d),
             vol=_from_json(VolatilityModelParams, d["vol"]),
             monthly_vols=MonthlyVolatilitySeries(entries=tuple(
-                _from_json(MonthlyVolatility, e) for e in d["monthly_vols"])),
-            descriptive_temp=_from_json(DescriptiveSummary, desc["temperature"]),
-            descriptive_precip=(_from_json(DescriptiveSummary, desc["precipitation"])
-                                if desc["precipitation"] else None),
+                _from_json(MonthlyVolatility, e) for e in vols)),
+            descriptive_temp=_from_json(DescriptiveSummary, d["descriptive"]["temperature"]),
+            descriptive_precip=(None if (precip := d["descriptive"]["precipitation"]) is None
+                                else _from_json(DescriptiveSummary, precip)),
             normality_temp=_from_json(NormalityTestResult, d["normality"]["temperature"]),
             normality_residuals=_from_json(NormalityTestResult, d["normality"]["residuals"]),
-            meta=_from_json(ReportMeta, {**meta, "start": parse_iso_date(meta["start"]),
-                                         "end": parse_iso_date(meta["end"])}),
+            meta=_from_json(ReportMeta, meta, start=parse_iso_date(meta["start"]),
+                            end=parse_iso_date(meta["end"])),
         )
     except KeyError as exc:
         raise InputError(f"report has no field {exc}") from None
+    except InputError:
+        raise
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed report: {exc}") from None
     if is_leap_day(report.meta.start):

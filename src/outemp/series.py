@@ -159,8 +159,9 @@ def parse_csv(text: str) -> TemperatureSeries:
     file that path declines, which includes every bad one, is read again
     row by row with the ``csv`` module (:func:`_parse_rows`), which finds
     the first bad line. Both read dates by :func:`parse_iso_date`'s rules
-    and numbers with ``float`` after ``strip``, so a file the columnar
-    path accepts gives the same series row by row.
+    and numbers with ``float`` after ``strip``, but only plain ASCII ones
+    with no ``_``, so a file the columnar path accepts gives the same
+    series row by row.
     """
     columns = _parse_columns(text)
     days, temps, precip = columns if columns is not None else _parse_rows(text)
@@ -187,10 +188,10 @@ def _parse_columns(text: str):
     fields as the header. Each column is then converted in one pass. The
     result is None whenever anything is off, and then only the
     row-by-row reader says what: a quote, carriage return or non-ASCII
-    character anywhere, a bad header, no rows, a blank line between
-    rows, a wrong field count, a field longer than the ``csv`` module
-    reads, a value that does not convert, a non-finite number or dates
-    that do not strictly increase.
+    character anywhere, an underscore below the header, a bad header, no
+    rows, a blank line between rows, a wrong field count, a field longer
+    than the ``csv`` module reads, a value that does not convert, a
+    non-finite number or dates that do not strictly increase.
     """
     if '"' in text or "\r" in text or not text.isascii():
         return None
@@ -198,7 +199,9 @@ def _parse_columns(text: str):
     width = _parse_header(header.split(","))
     # The csv module skips blank lines, so trailing ones change nothing.
     body = body.rstrip("\n") + "\n"
-    if width is None or body == "\n":
+    # float() reads "2_5", which the row reader refuses; the header's
+    # names t_avg_c and precip_mm hold underscores.
+    if width is None or body == "\n" or "_" in body:
         return None
     raw = np.frombuffer(body.encode("ascii"), np.uint8)
     at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
@@ -298,6 +301,9 @@ def _parse_number(fieldtext: str, what: str, lineno: int) -> float:
     if not fieldtext:
         raise InputError(f"missing {what} value", line=lineno)
     try:
+        # float() also reads "2_5" and non-ASCII digits such as "２５".
+        if not fieldtext.isascii() or "_" in fieldtext:
+            raise ValueError
         value = float(fieldtext)
     except ValueError:
         raise InputError(f"unparsable {what} {fieldtext!r}", line=lineno) from None

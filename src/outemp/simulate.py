@@ -121,9 +121,10 @@ def _ou_steps(rows: np.ndarray, dm, m, kappa: float, lo: float) -> np.ndarray:
 
 
 def unstable_kappa_t(kappa_t: float) -> str | None:
-    """Why the Euler day step cannot take ``kappa_t`` (|1 - kappa_t| >= 1
-    makes deviations grow), or None when it is below 2."""
-    if kappa_t >= 2:
+    """Why the Euler day step cannot take ``kappa_t``, or None when
+    0 < kappa_t < 2. Outside that range |1 - kappa_t| >= 1 and deviations
+    never decay; nan is outside it too."""
+    if not 0 < kappa_t < 2:
         return (f"kappa_t {kappa_t!r} is outside 0 < kappa_t < 2, "
                 "the stable range of the Euler day step")
     return None
@@ -144,8 +145,6 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     path equals column 0 of any larger ensemble with its seed bit for bit.
     """
     kappa_t = float(getattr(kappa, "kappa_t", kappa))
-    if kappa_t <= 0:
-        raise InputError("kappa must be positive")
     if unstable := unstable_kappa_t(kappa_t):
         raise InputError(unstable)
     override = config.constant_vol_override

@@ -282,6 +282,28 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error:")
 
+    @pytest.mark.parametrize("path, value, says", [
+        ("descriptive.precipitation", 0, "DescriptiveSummary is not a JSON object: 0"),
+        ("descriptive.precipitation", {}, "report has no field 'mean'"),
+        ("metrics", [1.0], "report 'metrics' is not a JSON object: [1.0]"),
+        ("metrics", 0, "report 'metrics' is not a JSON object: 0"),
+        ("seasonal.a_t", [], "report field 'a_t' is not a finite number: []"),
+        ("vol.sigma_bar", -1.0, "input error: sigma_bar must be positive"),
+        ("kappa_t", 10 ** 400, "report field 'kappa_t' is not a finite number: 1000"),
+        ("monthly_vols", "", "report 'monthly_vols' is not a JSON list: ''"),
+    ], ids=["zero-precipitation", "empty-precipitation", "list-metrics",
+            "zero-metrics", "list-a-t", "negative-sigma-bar", "int-beyond-float",
+            "text-monthly-vols"])
+    def test_each_value_checked_where_read(self, tmp_path, capsys, path, value, says):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(
+            edited_report(path, value)(json.loads(GOLDEN_REPORT.read_text()))))
+        rc = run("simulate", "--report", str(bad), "--paths", "2",
+                 "--days", "5", "--out", str(tmp_path / "e.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:") and says in err[0]
+
     @pytest.mark.filterwarnings("error")   # a numpy overflow warning fails the test
     @pytest.mark.parametrize("path, value, says", [
         ("kappa_t", 2.5, "0 < kappa_t < 2"),
@@ -509,8 +531,10 @@ NOT_UTF8_CSV = b"date,t_avg_c\n2000-01-01,25.0\n2000-01-02,\xff26.0\n"
     (["simulate", "--report", "IN", "--days", "5", "--out", "OUT"], b"\xff\xfe{}"),
     (["simulate", "--report", "IN", "--days", "5", "--out", "OUT"],
      b"[" * 990 + b"]" * 990),
+    (["simulate", "--report", "IN", "--days", "5", "--out", "OUT"],
+     b'{"kappa_t": ' + b"9" * 5000 + b"}"),
 ], ids=["describe-not-utf8", "fit-not-utf8", "evaluate-not-utf8",
-        "report-not-utf8", "report-nested-990"])
+        "report-not-utf8", "report-nested-990", "report-int-5000-digits"])
 def test_bad_bytes_exit_2(argv, data):
     rc, err = run_on_bytes(argv, data)
     assert rc == 2

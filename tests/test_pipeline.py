@@ -118,20 +118,24 @@ class TestReportSerialization:
 
     def test_unknown_keys_ignored(self, synthetic_report):
         written = report_to_dict(synthetic_report)
-        d = copy.deepcopy(written)
 
-        def add_unknown_keys(node):
+        def add_unknown_keys(node, unknown):
             if isinstance(node, dict):
                 for value in node.values():
-                    add_unknown_keys(value)
-                node["unknown_key"] = 1.0
+                    add_unknown_keys(value, unknown)
+                node["unknown_key"] = unknown
             elif isinstance(node, list):
                 for value in node:
-                    add_unknown_keys(value)
-        add_unknown_keys(d)
-        assert d["monthly_vols"][-1]["unknown_key"] == 1.0
-        assert d["normality"]["residuals"]["unknown_key"] == 1.0
-        assert report_to_dict(report_from_dict(d)) == written
+                    add_unknown_keys(value, unknown)
+        # Whatever an unknown key holds; a known key's name inside an
+        # unknown object is not read either.
+        for unknown in [1.0, "Sunyani", None, [1, "x", None, {}],
+                        {"psi": "0.5", "a_t": [], "note": None}]:
+            d = copy.deepcopy(written)
+            add_unknown_keys(d, unknown)
+            assert d["monthly_vols"][-1]["unknown_key"] == unknown
+            assert d["normality"]["residuals"]["unknown_key"] == unknown
+            assert report_to_dict(report_from_dict(d)) == written
 
     def test_unknown_schema_version_rejected(self, synthetic_report):
         d = report_to_dict(synthetic_report)

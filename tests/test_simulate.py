@@ -234,6 +234,11 @@ class TestSimulatePaths:
         ens = simulate_paths(SEASONAL, 1.99, VOL, config(), START)
         assert np.isfinite(ens.mean_path).all()
 
+    @pytest.mark.parametrize("kappa", [float("nan"), -0.1])
+    def test_kappa_outside_stable_range_refused_before_simulating(self, kappa):
+        with pytest.raises(InputError, match="kappa_t"):
+            simulate_paths(SEASONAL, kappa, VOL, config(), START)
+
     @pytest.mark.parametrize("override", [float("nan"), float("inf"), -1.0])
     def test_override_must_be_finite_and_non_negative(self, override):
         with pytest.raises(InputError, match="^constant_vol_override must be finite "
