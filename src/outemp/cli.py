@@ -120,7 +120,7 @@ def run_fit(args) -> int:
 
 
 def _load_report(path: str) -> pipeline.FitReport:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:   # bad UTF-8 or JSON, or an int of > 4300 digits

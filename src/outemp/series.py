@@ -40,13 +40,20 @@ CSV_HEADER = ("date", "t_avg_c", "precip_mm")
 _DATE_DIGITS = tuple(zip((0, 1, 2, 3, 5, 6, 8, 9), [10 ** k for k in range(7, -1, -1)]))
 
 
+def read_only_copy(values, dtype) -> np.ndarray:
+    """A read-only copy of ``values``: the only way a value type takes an array."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class TemperatureSeries:
     """Ordered daily temperature records, optionally with precipitation.
 
-    ``dates`` is a read-only, strictly increasing ``datetime64[D]`` array;
-    ``temps`` is a float array of the same length in degrees Celsius;
-    ``precip`` (mm) is either None or a parallel non-negative float array.
+    Each array is a read-only copy of the one given: ``dates`` strictly
+    increasing ``datetime64[D]``, ``temps`` floats of the same length in
+    degrees Celsius, ``precip`` (mm) None or parallel non-negative floats.
     """
 
     dates: np.ndarray
@@ -54,12 +61,11 @@ class TemperatureSeries:
     precip: np.ndarray | None = None
 
     def __post_init__(self):
-        dates = np.asarray(self.dates, dtype="datetime64[D]")
-        dates.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        temps = np.asarray(self.temps, dtype=float)
-        temps.flags.writeable = False
-        object.__setattr__(self, "temps", temps)
+        dates = read_only_copy(self.dates, "datetime64[D]")
+        temps = read_only_copy(self.temps, float)
+        precip = None if self.precip is None else read_only_copy(self.precip, float)
+        for name, value in (("dates", dates), ("temps", temps), ("precip", precip)):
+            object.__setattr__(self, name, value)
         if dates.shape != temps.shape:
             raise InputError("dates and temperatures have different lengths")
         if temps.size == 0:
@@ -73,10 +79,7 @@ class TemperatureSeries:
         if unordered.size:
             raise InputError(
                 f"dates not strictly increasing at {dates[unordered[0] + 1]}")
-        if self.precip is not None:
-            precip = np.asarray(self.precip, dtype=float)
-            precip.flags.writeable = False
-            object.__setattr__(self, "precip", precip)
+        if precip is not None:
             if precip.size != temps.size:
                 raise InputError("precipitation length mismatch")
             if not np.all(np.isfinite(precip)):
@@ -92,8 +95,7 @@ class TemperatureSeries:
             return NotImplemented
         return (np.array_equal(self.dates, other.dates)
                 and np.array_equal(self.temps, other.temps)
-                and (self.precip is None) == (other.precip is None)
-                and (self.precip is None or np.array_equal(self.precip, other.precip)))
+                and np.array_equal(self.precip, other.precip))   # None equals only None
 
 
 def _civil(dates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -355,11 +357,8 @@ def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:
     Idempotent.
     """
     keep = ~is_leap_day(series.dates)
-    stripped = TemperatureSeries(
-        dates=series.dates[keep],
-        temps=series.temps[keep],
-        precip=None if series.precip is None else series.precip[keep],
-    )
+    stripped = TemperatureSeries(series.dates[keep], series.temps[keep],
+                                 None if series.precip is None else series.precip[keep])
     dates = stripped.dates
     expected = leap_free_days(dates[0], len(dates))
     gaps = np.flatnonzero(dates != expected)

@@ -68,6 +68,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n_paths < 1 or self.n_days < 1:
             raise InputError("n_paths and n_days must be >= 1")
+        if int(self.n_paths) * int(self.n_days) > np.iinfo(np.intp).max // 16:
+            raise MemoryError(f"a {self.n_paths} x {self.n_days} ensemble is too large for numpy")
         if self.master_seed < 0:
             raise InputError("master_seed must be non-negative")
         override = self.constant_vol_override

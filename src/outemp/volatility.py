@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .series import TemperatureSeries, month_index
+from .series import TemperatureSeries, month_index, read_only_copy
 from .stats import lag1_rate
 
 
@@ -31,14 +31,14 @@ class MonthlyVolatility:
 
 @dataclass(frozen=True)
 class MonthlyVolatilitySeries:
-    entries: tuple[MonthlyVolatility, ...]
+    entries: tuple[MonthlyVolatility, ...]   # any iterable, stored as a tuple
     # The entries' sigmas as a read-only array, built once from entries.
     sigmas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigmas = np.array([e.sigma for e in self.entries])
-        sigmas.flags.writeable = False
-        object.__setattr__(self, "sigmas", sigmas)
+        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "sigmas", read_only_copy([e.sigma for e in entries], float))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -76,9 +76,8 @@ def monthly_quadratic_variation(series: TemperatureSeries) -> MonthlyVolatilityS
     cols = np.minimum(np.arange(counts.max()), counts[:, np.newaxis] - 1)
     d = np.diff(series.temps[(np.cumsum(counts) - counts)[:, np.newaxis] + cols])
     sigmas = np.sqrt(np.sum(d * d, axis=1) / (counts - 1))
-    return MonthlyVolatilitySeries(entries=tuple(
-        MonthlyVolatility(year=year, month=month, sigma=sigma)
-        for (year, month), sigma in zip(months, sigmas.tolist())))
+    return MonthlyVolatilitySeries([MonthlyVolatility(year, month, sigma)
+                                    for (year, month), sigma in zip(months, sigmas.tolist())])
 
 
 def estimate_sigma_bar(vols: MonthlyVolatilitySeries) -> float:

@@ -136,6 +136,28 @@ class TestFit:
         out = capsys.readouterr().out
         assert "kappa_T" in out and "a_T" in out
 
+    def test_precipitation_summary(self, small_synth, tmp_path):
+        lines = small_synth.read_text().splitlines()
+        rain = np.random.default_rng(0).exponential(2.0, len(lines) - 1).tolist()
+        wet = tmp_path / "wet.csv"
+        wet.write_text("date,t_avg_c,precip_mm\n"
+                       + "".join(f"{line},{r!r}\n" for line, r in zip(lines[1:], rain)))
+        report = tmp_path / "report.json"
+        assert run("fit", "--input", str(wet), "--out", str(report)) == 0
+        payload = json.loads(report.read_text())
+        assert payload["descriptive"]["precipitation"]["n"] == payload["meta"]["n_obs"]
+        # Precipitation is summarized but takes no part in the simulation.
+        payload["descriptive"]["precipitation"] = None
+        dry = tmp_path / "dry.json"
+        dry.write_text(json.dumps(payload))
+        ensembles = []
+        for path in (report, dry):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run("simulate", "--report", str(path), "--paths", "5",
+                       "--days", "400", "--out", str(out)) == 0
+            ensembles.append(out.read_bytes())
+        assert ensembles[0] == ensembles[1]
+
     def test_constant_file_exit_3(self, tmp_path, capsys):
         f = tmp_path / "const.csv"
         rows = ["date,t_avg_c"]
@@ -330,6 +352,59 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error:")
         assert "--paths" in err[0] and "--days" in err[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "synth"])
+    def test_report_byte_order_mark_is_ignored(self, tmp_path, command):
+        # Some Windows editors save JSON with a leading byte-order mark.
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + GOLDEN_REPORT.read_bytes())
+        argv = {"simulate": ["--paths", "3", "--days", "400"],
+                "synth": ["--years", "2"]}[command]
+        outputs = []
+        for path in (GOLDEN_REPORT, bom):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run(command, "--report", str(path), *argv, "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_single_path_sd_is_zero(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "1",
+                   "--days", "400", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 400
+        assert {sd for _, _, sd, _, _ in rows} == {"0.0"}
+        assert all(mean == p05 == p95 for _, mean, _, p05, p95 in rows)
+
+    @pytest.mark.parametrize("argv, says", [
+        (["simulate", "--paths", "0", "--days", "5"], "n_paths and n_days must be >= 1"),
+        (["simulate", "--paths", "2", "--days", "0"], "n_paths and n_days must be >= 1"),
+        (["simulate", "--paths", "2", "--days", "5", "--seed", "-1"],
+         "master_seed must be non-negative"),
+        (["synth", "--years", "0"], "n_years must be >= 1"),
+    ], ids=["zero-paths", "zero-days", "negative-seed", "zero-years"])
+    def test_bad_size_or_seed_exit_2(self, tmp_path, capsys, argv, says):
+        out = tmp_path / "out.csv"
+        report = ["--report", str(GOLDEN_REPORT)] if argv[0] == "simulate" else []
+        assert run(*argv, *report, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"input error: {says}"]
+        assert not out.exists()
+
+    # numpy refuses each of these sizes before allocating, and the
+    # simulation config refuses them before numpy sees them.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--paths", "1000000000000000000", "--days", "5"],
+        ["simulate", "--paths", "2", "--days", "99999999999999999999"],
+        ["evaluate", "--paths", "1000000000000000000"],
+    ], ids=["paths", "days", "evaluate-paths"])
+    def test_ensemble_beyond_any_array_exit_2(self, small_synth, tmp_path, capsys, argv):
+        out = tmp_path / "e.csv"
+        files = (["--report", str(GOLDEN_REPORT), "--out", str(out)]
+                 if argv[0] == "simulate" else ["--input", str(small_synth)])
+        assert run(*argv, *files) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: not enough memory for this ensemble; lower --paths or --days"]
+        assert not out.exists()
 
     def test_unknown_schema_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -390,3 +390,45 @@ def test_series_immutable():
         s.temps[0] = 0.0
     with pytest.raises(ValueError):
         s.dates[0] = np.datetime64("1999-12-31")
+
+
+def test_read_only_copy():
+    array = series_module.read_only_copy([1, 2, 3], float)
+    assert array.dtype == float and array.tolist() == [1.0, 2.0, 3.0]
+    assert not array.flags.writeable
+    source = np.arange(3.0)
+    assert not np.shares_memory(series_module.read_only_copy(source, float), source)
+
+
+def caller_arrays():
+    return (np.arange(np.datetime64("2000-01-01"), np.datetime64("2000-01-04")),
+            np.array([25.0, 26.0, 24.0]), np.array([0.0, 1.5, 3.0]))
+
+
+def test_series_leaves_caller_arrays_writable():
+    d, t, p = caller_arrays()
+    TemperatureSeries(dates=d, temps=t, precip=p)
+    assert d.flags.writeable and t.flags.writeable and p.flags.writeable
+
+
+@pytest.mark.parametrize("write", [
+    lambda d, t, p: d.__setitem__(2, np.datetime64("1999-12-31")),
+    lambda d, t, p: t.__setitem__(1, np.nan),
+    lambda d, t, p: p.__setitem__(0, -1.0),
+], ids=["earlier-date", "nan-temperature", "negative-precipitation"])
+def test_caller_writes_do_not_reach_the_series(write):
+    d, t, p = caller_arrays()
+    s = TemperatureSeries(dates=d, temps=t, precip=p)
+    write(d, t, p)
+    assert s == TemperatureSeries(*caller_arrays())
+    assert np.all(np.diff(s.dates) > np.timedelta64(0, "D"))
+    assert np.all(np.isfinite(s.temps)) and s.precip.min() >= 0
+
+
+def test_writes_to_the_base_of_a_view_do_not_reach_the_series():
+    base = np.array([20.0, 25.0, 21.0, 26.0, 22.0, 24.0])
+    dates = leap_free_days("2000-01-01", 3)
+    s = TemperatureSeries(dates=dates, temps=base[1::2])
+    base[3] = np.nan
+    assert s.temps.tolist() == [25.0, 26.0, 24.0]
+    assert base.flags.writeable

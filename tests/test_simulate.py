@@ -60,6 +60,14 @@ def config(**kw):
     return SimulationConfig(**base)
 
 
+@pytest.mark.parametrize("n_paths, n_days", [
+    (10 ** 18, 5), (2, 10 ** 20), (np.int64(2 ** 32), np.int64(2 ** 32)),
+], ids=["paths", "days", "numpy-ints-whose-product-wraps"])
+def test_config_refuses_an_ensemble_beyond_any_array(n_paths, n_days):
+    with pytest.raises(MemoryError):
+        config(n_paths=n_paths, n_days=n_days)
+
+
 def path_matrix(*args):
     """The C-ordered (n_paths, n_days) path matrix stacked from day_blocks."""
     return np.ascontiguousarray(

@@ -69,6 +69,15 @@ class TestMonthlyQuadraticVariation:
         assert twin == vols and hash(twin) == hash(vols)
         assert twin.sigmas is not vols.sigmas
 
+    def test_entries_stored_as_a_tuple(self):
+        entries = [MonthlyVolatility(2000, 1, 0.5), MonthlyVolatility(2000, 2, 1.5)]
+        vols = MonthlyVolatilitySeries(entries=entries)
+        entries.append(MonthlyVolatility(2000, 3, 1.0))
+        assert isinstance(vols.entries, tuple) and len(vols) == 2
+        assert vols.sigmas.tolist() == [0.5, 1.5]
+        twin = vols_from_sigmas([0.5, 1.5])
+        assert vols == twin and hash(vols) == hash(twin)
+
     def test_single_day_month_rejected(self):
         s = series_from_temps([25.0, 25.0, 25.0], dt.date(2001, 3, 30))
         with pytest.raises(InputError, match="2001-04"):
