@@ -138,17 +138,16 @@ def run_simulate(args) -> int:
         master_seed=args.seed,
         t0_temp=simulate.evaluate_seasonal_mean(report.seasonal, 0),
     )
-    ens = simulate.simulate_paths(report.seasonal, report.kappa, report.vol,
+    kappa_t = report.kappa.kappa_t
+    ens = simulate.simulate_paths(report.seasonal, kappa_t, report.vol,
                                   config, report.meta.start)
-    sd = (ens.cross_path_sd if ens.cross_path_sd is not None
-          else np.zeros(args.days))
-    _write_day_rows(args.out, "mean,sd,p05,p95",
-                    [(0, np.column_stack((ens.mean_path, sd, ens.p05, ens.p95)))])
+    _write_day_rows(args.out, "mean,sd,p05,p95", [(0, np.column_stack(
+        (ens.mean_path, ens.cross_path_sd, ens.p05, ens.p95)))])
     if args.full_paths:
         # A second pass: the seeding contract makes the replay exact.
         _write_day_rows(args.full_paths,
                         ",".join(f"path_{p}" for p in range(args.paths)),
-                        simulate.day_blocks(report.seasonal, report.kappa,
+                        simulate.day_blocks(report.seasonal, kappa_t,
                                             report.vol, config, report.meta.start))
     return 0
 
@@ -187,10 +186,11 @@ def run_synth(args) -> int:
         seasonal, kappa_t, vol = report.seasonal, report.kappa.kappa_t, report.vol
     else:
         seasonal, kappa_t, vol = DEFAULT_SEASONAL, DEFAULT_KAPPA_T, DEFAULT_VOL
+    if args.sigma_override is not None:
+        vol = args.sigma_override
     series = simulate.generate_synthetic_series(
         seasonal, kappa_t, vol, start_year=args.start_year,
-        n_years=args.years, seed=args.seed,
-        constant_vol_override=args.sigma_override)
+        n_years=args.years, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_csv(series))
     return 0
@@ -252,8 +252,9 @@ def main(argv=None) -> int:
         print(f"estimation failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print("input error: not enough memory for this ensemble; "
-              "lower --paths or --days", file=sys.stderr)
+        sizes = " or ".join(f"--{name}" for name in ("paths", "days") if name in vars(args))
+        print("input error: not enough memory for this "
+              + (f"ensemble; lower {sizes}" if sizes else "input"), file=sys.stderr)
         return 2
 
 

@@ -54,10 +54,8 @@ def fit_full_model(series: TemperatureSeries,
     """Fit every model stage on a leap-stripped series.
 
     Estimation failures propagate as EstimationError labeled with the
-    failing stage.
+    failing stage; a series too short to fit raises InputError.
     """
-    if len(series) < 3:
-        raise InputError("series too short to fit")
     seasonal = fit_seasonal_mean(series)
     resid = residuals(series, seasonal)
     vols = monthly_quadratic_variation(series)
@@ -89,9 +87,10 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
     """RMSE/MAPE/R^2 of the observations against the mean simulated path.
 
     The ensemble runs over the observed span with calendar-month
-    volatility switching; T(0) defaults to the first observation. MAPE is
-    None when an observation is exactly 0. A fitted kappa_t the Euler day
-    step cannot take raises EstimationError.
+    volatility switching; T(0) defaults to the first observation, and
+    ``constant_vol_override`` replaces the fitted volatility process with
+    a constant sigma. MAPE is None when an observation is exactly 0. A
+    fitted kappa_t the Euler day step cannot take raises EstimationError.
     """
     if n_paths < 2:
         raise InputError("evaluation needs at least 2 paths")
@@ -102,9 +101,9 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
         n_days=len(series),
         master_seed=seed,
         t0_temp=float(series.temps[0]) if t0_temp is None else t0_temp,
-        constant_vol_override=constant_vol_override,
     )
-    ensemble = simulate_paths(report.seasonal, report.kappa, report.vol,
+    vol = report.vol if constant_vol_override is None else constant_vol_override
+    ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, vol,
                               config, series.dates[0])
     return fit_metrics(series.temps, ensemble.mean_path)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, InputError
 from .series import DAYS_PER_YEAR, TemperatureSeries
 from .stats import r_squared
 
@@ -37,30 +37,24 @@ class SeasonalMeanParams:
     r_squared_fit: float
 
 
-@dataclass(frozen=True)
-class OlsSolution:
-    beta: tuple[float, float, float, float]
-
-
 def design_matrix(n: int) -> np.ndarray:
     t = np.arange(n, dtype=float)
     phase = 2.0 * np.pi * t / DAYS_PER_YEAR
     return np.column_stack([np.ones(n), t, np.sin(phase), np.cos(phase)])
 
 
-def ols_fit(series: TemperatureSeries) -> OlsSolution:
-    """Least-squares solve via orthogonal factorization (QR/SVD, not the
-    normal equations, for conditioning)."""
+def ols_fit(series: TemperatureSeries) -> tuple[float, float, float, float]:
+    """The four coefficients of the least-squares solve via orthogonal
+    factorization (QR/SVD, not the normal equations, for conditioning)."""
     n = len(series)
     if n < 5:
-        raise EstimationError("need at least 5 observations to fit 4 parameters",
-                              stage="seasonal")
+        raise InputError("need at least 5 observations to fit 4 parameters")
     x = design_matrix(n)
     beta, _, rank, _ = np.linalg.lstsq(x, series.temps, rcond=None)
     if rank < 4:
         raise EstimationError("rank-deficient seasonal design matrix",
                               stage="seasonal")
-    return OlsSolution(beta=tuple(float(b) for b in beta))
+    return tuple(float(b) for b in beta)
 
 
 def recover_amplitude_phase(beta2: float, beta3: float) -> tuple[float, float]:
@@ -82,12 +76,11 @@ def recover_amplitude_phase(beta2: float, beta3: float) -> tuple[float, float]:
 
 def fit_seasonal_mean(series: TemperatureSeries) -> SeasonalMeanParams:
     """Fit the seasonal mean function to a leap-stripped series."""
+    b0, b1, b2, b3 = ols_fit(series)
     if np.ptp(series.temps) == 0.0:
         raise EstimationError(
             "observations are constant: no seasonal structure or volatility "
             "to fit (R^2 undefined)", stage="seasonal")
-    sol = ols_fit(series)
-    b0, b1, b2, b3 = sol.beta
     c, psi = recover_amplitude_phase(b2, b3)
     params = SeasonalMeanParams(a_t=b0, b_t=b1, c_t=c, psi=psi, r_squared_fit=0.0)
     fitted = evaluate_seasonal_mean(params, np.arange(len(series)))

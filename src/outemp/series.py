@@ -33,6 +33,8 @@ DAYS_PER_YEAR = 365
 # Sanity bounds for daily average temperature in degrees Celsius.
 TEMP_MIN_C = -90.0
 TEMP_MAX_C = 60.0
+# Upper bound for daily precipitation in mm, above the 1,825 mm world-record day.
+PRECIP_MAX_MM = 2000.0
 
 CSV_HEADER = ("date", "t_avg_c", "precip_mm")
 
@@ -53,7 +55,8 @@ class TemperatureSeries:
 
     Each array is a read-only copy of the one given: ``dates`` strictly
     increasing ``datetime64[D]``, ``temps`` floats of the same length in
-    degrees Celsius, ``precip`` (mm) None or parallel non-negative floats.
+    degrees Celsius, ``precip`` (mm) None or parallel floats in
+    [0, PRECIP_MAX_MM].
     """
 
     dates: np.ndarray
@@ -84,8 +87,9 @@ class TemperatureSeries:
                 raise InputError("precipitation length mismatch")
             if not np.all(np.isfinite(precip)):
                 raise InputError("non-finite precipitation value")
-            if precip.min() < 0:
-                raise InputError("negative precipitation")
+            if precip.min() < 0 or precip.max() > PRECIP_MAX_MM:
+                raise InputError(
+                    f"precipitation outside sane range [0, {PRECIP_MAX_MM}] mm")
 
     def __len__(self) -> int:
         return self.temps.size

@@ -63,7 +63,6 @@ class SimulationConfig:
     n_days: int
     master_seed: int
     t0_temp: float
-    constant_vol_override: float | None = None
 
     def __post_init__(self):
         if self.n_paths < 1 or self.n_days < 1:
@@ -72,20 +71,16 @@ class SimulationConfig:
             raise MemoryError(f"a {self.n_paths} x {self.n_days} ensemble is too large for numpy")
         if self.master_seed < 0:
             raise InputError("master_seed must be non-negative")
-        override = self.constant_vol_override
-        # The negated test also refuses nan, which fails every comparison.
-        if override is not None and not 0 <= override < math.inf:
-            raise InputError("constant_vol_override must be finite and non-negative")
 
 
 @dataclass(frozen=True)
 class SimulatedEnsemble:
     """Per-day summary of an ensemble across its paths."""
 
-    mean_path: np.ndarray             # (n_days,)
-    cross_path_sd: np.ndarray | None  # (n_days,), None for a single path
-    p05: np.ndarray                   # (n_days,), numpy's default percentile
-    p95: np.ndarray                   # (n_days,)
+    mean_path: np.ndarray       # (n_days,)
+    cross_path_sd: np.ndarray   # (n_days,), all zeros for a single path
+    p05: np.ndarray             # (n_days,), numpy's default percentile
+    p95: np.ndarray             # (n_days,)
 
 
 def _vol_recursion(vol: VolatilityModelParams, sigma: np.ndarray) -> np.ndarray:
@@ -132,8 +127,8 @@ def unstable_kappa_t(kappa_t: float) -> str | None:
     return None
 
 
-def day_blocks(seasonal: SeasonalMeanParams, kappa,
-               vol: VolatilityModelParams | None, config: SimulationConfig,
+def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
+               vol: VolatilityModelParams | float, config: SimulationConfig,
                start):
     """Simulate an ensemble day-major, BLOCK_DAYS days at a time.
 
@@ -146,12 +141,12 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     with the same draws and operations for any number of paths, so one
     path equals column 0 of any larger ensemble with its seed bit for bit.
     """
-    kappa_t = float(getattr(kappa, "kappa_t", kappa))
+    stochastic = isinstance(vol, VolatilityModelParams)
+    # The negated test also refuses nan, which fails every comparison.
+    if not stochastic and not 0 <= vol < math.inf:
+        raise InputError("constant_vol_override must be finite and non-negative")
     if unstable := unstable_kappa_t(kappa_t):
         raise InputError(unstable)
-    override = config.constant_vol_override
-    if override is None and vol is None:
-        raise InputError("volatility parameters required without a constant override")
 
     n_paths, n_days = config.n_paths, config.n_days
     month_idx, _ = month_index(leap_free_days(start, n_days))
@@ -160,13 +155,13 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
     sigma = np.empty((int(month_idx[-1]) + 1, n_paths))
     z = np.empty((n_paths, min(BLOCK_DAYS, n_days)))
     rngs = [np.random.default_rng([config.master_seed, p]) for p in range(n_paths)]
-    if override is None:
+    if stochastic:
         sigma[0] = vol.sigma_bar
         for p, rng in enumerate(rngs):
             sigma[1:, p] = rng.standard_normal(len(sigma) - 1)
         _vol_recursion(vol, sigma)
     else:
-        sigma[:] = override
+        sigma[:] = vol
 
     m = evaluate_seasonal_mean(seasonal, np.arange(n_days))
     last = config.t0_temp
@@ -194,18 +189,17 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa,
 
 # An overflow shows as a non-finite summary value, which raises at the end.
 @np.errstate(over="ignore", invalid="ignore")
-def simulate_paths(seasonal: SeasonalMeanParams, kappa,
-                   vol: VolatilityModelParams | None, config: SimulationConfig,
+def simulate_paths(seasonal: SeasonalMeanParams, kappa_t: float,
+                   vol: VolatilityModelParams | float, config: SimulationConfig,
                    start) -> SimulatedEnsemble:
     """Simulate a Monte Carlo ensemble of daily temperature paths and
     summarize it per day across paths.
 
-    ``kappa`` is the per-day reversion rate (a float or a
-    MeanReversionEstimate). Simulated day 0 is the date ``start``, and
-    the monthly volatility switches on the calendar months of the
-    leap-free calendar from there. With
-    ``config.constant_vol_override`` set, the stochastic volatility layer
-    is bypassed and every month uses the override.
+    ``kappa_t`` is the per-day reversion rate. ``vol`` is the monthly
+    volatility process, or a float: a constant sigma for every month,
+    which must be finite and non-negative. Simulated day 0 is the date
+    ``start``, and the monthly volatility switches on the calendar months
+    of the leap-free calendar from there.
 
     The paths are summarized block by block as :func:`day_blocks` yields
     them and never held whole, so memory is ``sigma`` (n_paths *
@@ -214,13 +208,13 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa,
     floats per day. Each path draws its monthly volatility normals, then
     its daily normals, from the generator seeded [master_seed, p]; the
     summary equals, bit for bit, numpy's mean, std(ddof=1) and
-    percentile over the (n_paths, n_days) path matrix. A non-finite
-    summary value raises InputError.
+    percentile over the (n_paths, n_days) path matrix, with an sd of
+    zeros for one path. A non-finite summary value raises InputError.
     """
     n_paths, n_days = config.n_paths, config.n_days
-    mean_path, sd, p05, p95 = (np.empty(n_days) for _ in range(4))
+    mean_path, sd, p05, p95 = np.zeros((4, n_days))   # sd stays 0 for one path
     buffer = np.empty(n_paths * min(BLOCK_DAYS, n_days))
-    for first, block in day_blocks(seasonal, kappa, vol, config, start):
+    for first, block in day_blocks(seasonal, kappa_t, vol, config, start):
         days = slice(first, first + len(block))
         # Reducing a path-major copy over axis 0 adds the paths in index
         # order, as the whole matrix would; a reduction along the
@@ -238,10 +232,8 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa,
         p05[days] = _sorted_percentile(block, 5)
         p95[days] = _sorted_percentile(block, 95)
         del block   # released before day_blocks allocates the next
-    ens = SimulatedEnsemble(mean_path=mean_path,
-                            cross_path_sd=sd if n_paths >= 2 else None,
-                            p05=p05, p95=p95)
-    if not all(np.isfinite(a).all() for a in vars(ens).values() if a is not None):
+    ens = SimulatedEnsemble(mean_path=mean_path, cross_path_sd=sd, p05=p05, p95=p95)
+    if not all(np.isfinite(a).all() for a in vars(ens).values()):
         raise InputError("the simulated ensemble overflowed to a non-finite "
                          "value; the report's parameters are out of range")
     return ens
@@ -265,14 +257,13 @@ def _sorted_percentile(ordered: np.ndarray, q: float) -> np.ndarray:
 
 
 def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
-                              vol: VolatilityModelParams, start_year: int,
-                              n_years: int, seed: int,
-                              constant_vol_override: float | None = None,
-                              ) -> TemperatureSeries:
+                              vol: VolatilityModelParams | float, start_year: int,
+                              n_years: int, seed: int) -> TemperatureSeries:
     """One simulated path laid out on a leap-free calendar.
 
-    Calendar months drive the volatility switching; T(0) is the seasonal
-    mean at day 0. The result parses/fits like an observed series.
+    ``vol`` is as in :func:`simulate_paths`. Calendar months drive the
+    volatility switching; T(0) is the seasonal mean at day 0. The result
+    parses/fits like an observed series.
     """
     if n_years < 1:
         raise InputError("n_years must be >= 1")
@@ -286,7 +277,6 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
         n_days=len(dates),
         master_seed=seed,
         t0_temp=evaluate_seasonal_mean(seasonal, 0),
-        constant_vol_override=constant_vol_override,
     )
     temps = np.empty(config.n_days)
     for first, block in day_blocks(seasonal, kappa_t, vol, config, start):

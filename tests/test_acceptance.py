@@ -105,7 +105,7 @@ def test_criterion_02_ols_oracle_equivalence():
         y = (a + b * t + c * np.sin(2 * np.pi * t / 365 + psi)
              + rng.normal(scale=1.0, size=n))
         series = _series_from_temps(y)
-        beta = np.array(ols_fit(series).beta)
+        beta = np.array(ols_fit(series))
         x = design_matrix(n)
         beta_ne = np.linalg.solve(x.T @ x, x.T @ y)
         worst = max(worst, float(np.max(np.abs(beta - beta_ne))))
@@ -170,8 +170,8 @@ def test_criterion_06_simulation_stationarity():
     kappa, sigma = 0.1872, 0.877
     flat = SeasonalMeanParams(26.0, 0.0, 0.0, 0.0, 0.0)
     cfg = SimulationConfig(n_paths=10_000, n_days=501, master_seed=606,
-                           t0_temp=26.0, constant_vol_override=sigma)
-    ens = simulate_paths(flat, kappa, None, cfg, "2001-01-01")
+                           t0_temp=26.0)
+    ens = simulate_paths(flat, kappa, sigma, cfg, "2001-01-01")
     target_var = sigma ** 2 / (1 - (1 - kappa) ** 2)
     var = float(ens.cross_path_sd[500] ** 2)
     sem = float(ens.cross_path_sd[500]) / math.sqrt(cfg.n_paths)
@@ -187,7 +187,7 @@ def test_criterion_07_mean_path_convergence(recovery_fits):
     t0 = evaluate_seasonal_mean(report.seasonal, 0) + d0
     cfg = SimulationConfig(n_paths=n_paths, n_days=n_days, master_seed=707,
                            t0_temp=t0)
-    ens = simulate_paths(report.seasonal, report.kappa, report.vol, cfg,
+    ens = simulate_paths(report.seasonal, report.kappa.kappa_t, report.vol, cfg,
                          report.meta.start)
     t = np.arange(n_days)
     expected = (evaluate_seasonal_mean(report.seasonal, t)
@@ -261,7 +261,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg = dict(n_days=60, master_seed=5, t0_temp=26.0)
 
     def path_matrix(n_paths):
-        blocks = day_blocks(rep.seasonal, rep.kappa, rep.vol,
+        blocks = day_blocks(rep.seasonal, rep.kappa.kappa_t, rep.vol,
                             SimulationConfig(n_paths=n_paths, **cfg),
                             rep.meta.start)
         return np.concatenate([block for _, block in blocks]).T

@@ -171,6 +171,44 @@ class TestFit:
                    str(tmp_path / "r.json")) == 3
         assert "estimation failure" in capsys.readouterr().err
 
+    # 1-4 days are too few for the seasonal fit, 40 for the volatility fit.
+    @pytest.mark.parametrize("n_days", [1, 2, 3, 4, 40])
+    def test_short_series_exit_2(self, small_synth, tmp_path, capsys, n_days):
+        short = tmp_path / "short.csv"
+        short.write_text("".join(small_synth.read_text().splitlines(True)[:1 + n_days]))
+        report = tmp_path / "r.json"
+        assert run("fit", "--input", str(short), "--out", str(report)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:")
+        assert not report.exists()
+
+    def test_out_of_memory_names_no_size_flag(self, small_synth, tmp_path, capsys,
+                                              monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli.pipeline, "fit_full_model", out_of_memory)
+        report = tmp_path / "r.json"
+        assert run("fit", "--input", str(small_synth), "--out", str(report)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: not enough memory for this input"]
+        assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [["fit", "--out"], ["describe", "--out"]],
+                         ids=["fit", "describe"])
+def test_precipitation_beyond_any_record_exit_2(small_synth, tmp_path, capsys, argv):
+    # 1e200 mm once reached the report and describe's JSON as Infinity.
+    lines = small_synth.read_text().splitlines()
+    wet = tmp_path / "wet.csv"
+    wet.write_text("date,t_avg_c,precip_mm\n"
+                   + "".join(f"{line},{1e200 if i == 9 else 0.0!r}\n"
+                             for i, line in enumerate(lines[1:])))
+    out = tmp_path / "out.json"
+    assert run(argv[0], "--input", str(wet), argv[1], str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: precipitation outside sane range [0, 2000.0] mm"]
+    assert not out.exists()
+
 
 class TestSimulate:
     def test_deterministic_byte_identical(self, small_synth, tmp_path):
@@ -209,7 +247,8 @@ class TestSimulate:
             n_paths=60, n_days=800, master_seed=0,
             t0_temp=evaluate_seasonal_mean(report.seasonal, 0))
         expected = np.concatenate([block for _, block in simulate.day_blocks(
-            report.seasonal, report.kappa, report.vol, config, report.meta.start)])
+            report.seasonal, report.kappa.kappa_t, report.vol, config,
+            report.meta.start)])
         header, *lines = matrix.read_text().splitlines()
         assert header == "day," + ",".join(f"path_{p}" for p in range(60))
         rows = [line.split(",") for line in lines]
@@ -392,18 +431,20 @@ class TestSimulate:
 
     # numpy refuses each of these sizes before allocating, and the
     # simulation config refuses them before numpy sees them.
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--paths", "1000000000000000000", "--days", "5"],
-        ["simulate", "--paths", "2", "--days", "99999999999999999999"],
-        ["evaluate", "--paths", "1000000000000000000"],
+    # The message names only the size flags the command has.
+    @pytest.mark.parametrize("argv, lower", [
+        (["simulate", "--paths", "1000000000000000000", "--days", "5"], "--paths or --days"),
+        (["simulate", "--paths", "2", "--days", "99999999999999999999"], "--paths or --days"),
+        (["evaluate", "--paths", "1000000000000000000"], "--paths"),
     ], ids=["paths", "days", "evaluate-paths"])
-    def test_ensemble_beyond_any_array_exit_2(self, small_synth, tmp_path, capsys, argv):
+    def test_ensemble_beyond_any_array_exit_2(self, small_synth, tmp_path, capsys, argv,
+                                              lower):
         out = tmp_path / "e.csv"
         files = (["--report", str(GOLDEN_REPORT), "--out", str(out)]
                  if argv[0] == "simulate" else ["--input", str(small_synth)])
         assert run(*argv, *files) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "input error: not enough memory for this ensemble; lower --paths or --days"]
+            f"input error: not enough memory for this ensemble; lower {lower}"]
         assert not out.exists()
 
     def test_unknown_schema_rejected(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from outemp import EstimationError
+from outemp import EstimationError, InputError
 from outemp.meanrev import estimate_kappa, estimating_function
 from outemp.seasonal import SeasonalMeanParams
 from outemp.series import TemperatureSeries, leap_free_days
@@ -88,6 +88,11 @@ class TestEstimateKappa:
         s = series_from_temps(temps)
         with pytest.raises(EstimationError, match="zero volatility"):
             estimate_kappa(s, FLAT, constant_vols_for(s, sigma=0.0))
+
+    def test_too_short(self):
+        s = series_from_temps([1.0, 0.9])
+        with pytest.raises(InputError, match="at least 3 observations"):
+            estimate_kappa(s, FLAT, constant_vols_for(s))
 
     def test_missing_month_error(self):
         temps = 0.9 ** np.arange(60)

@@ -49,8 +49,7 @@ class TestFitFullModel:
 
     def test_noiseless_series_fails_with_stage_label(self):
         s = generate_synthetic_series(DEFAULT_SEASONAL, DEFAULT_KAPPA_T,
-                                      DEFAULT_VOL, 2000, 3, seed=0,
-                                      constant_vol_override=0.0)
+                                      0.0, 2000, 3, seed=0)
         # Residuals are identically zero; the estimating ratio is 0/0.
         with pytest.raises(EstimationError):
             fit_full_model(s)

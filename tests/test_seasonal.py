@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from outemp import EstimationError, TemperatureSeries
+from outemp import EstimationError, InputError, TemperatureSeries
 from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
                              fit_seasonal_mean, ols_fit, recover_amplitude_phase,
                              residuals)
@@ -35,9 +35,11 @@ class TestRecoverAmplitudePhase:
         assert psi == pytest.approx(0.531, abs=1e-3)
 
     def test_quadrant_correctness(self):
-        c, psi = recover_amplitude_phase(-1.0, 0.0)
-        assert c == 1.0
-        assert psi == math.pi
+        # atan2(-0.0, -1.0) is -pi, which the half-open range maps to pi.
+        for beta3 in (0.0, -0.0):
+            c, psi = recover_amplitude_phase(-1.0, beta3)
+            assert c == 1.0
+            assert psi == math.pi
 
     def test_both_zero(self):
         with pytest.raises(EstimationError):
@@ -81,8 +83,10 @@ class TestFitSeasonalMean:
         assert p1.psi == pytest.approx(p0.psi, abs=1e-9)
 
     def test_too_short(self):
-        with pytest.raises(EstimationError):
-            fit_seasonal_mean(series_from_temps([1.0, 2.0, 3.0, 4.0]))
+        # An input error, checked before the constant-series estimation failure.
+        for temps in ([1.0, 2.0, 3.0, 4.0], [5.0] * 4):
+            with pytest.raises(InputError, match="at least 5 observations"):
+                fit_seasonal_mean(series_from_temps(temps))
 
     def test_r_squared_matches_stats_module(self):
         rng = np.random.default_rng(3)
@@ -96,12 +100,12 @@ class TestFitSeasonalMean:
         rng = np.random.default_rng(4)
         s = model_series(25.0, 5e-5, 1.8, 0.4, 900,
                          noise=rng.normal(scale=1.2, size=900))
-        sol = ols_fit(s)
+        beta = ols_fit(s)
         x = design_matrix(len(s))
         beta_ne = np.linalg.solve(x.T @ x, x.T @ s.temps)
-        assert np.allclose(sol.beta, beta_ne, atol=1e-8)
+        assert np.allclose(beta, beta_ne, atol=1e-8)
         # Residuals orthogonal to every regressor column.
-        r = s.temps - x @ np.array(sol.beta)
+        r = s.temps - x @ np.array(beta)
         scale = np.linalg.norm(s.temps) * np.linalg.norm(x, axis=0)
         assert np.all(np.abs(x.T @ r) / scale < 1e-6)
 

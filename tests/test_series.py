@@ -405,6 +405,29 @@ def caller_arrays():
             np.array([25.0, 26.0, 24.0]), np.array([0.0, 1.5, 3.0]))
 
 
+@pytest.mark.parametrize("edit, says", [
+    (lambda d, t, p: (d[:2], t, p), "dates and temperatures have different lengths"),
+    (lambda d, t, p: (d[:0], t[:0], None), "empty series"),
+    (lambda d, t, p: (d, [25.0, np.inf, 24.0], p), "non-finite temperature value"),
+    (lambda d, t, p: (d, t + 40.0, p), "temperature outside sane range"),
+    (lambda d, t, p: (d[::-1], t, p), "dates not strictly increasing at 2000-01-02"),
+    (lambda d, t, p: (d, t, p[:2]), "precipitation length mismatch"),
+    (lambda d, t, p: (d, t, [0.0, np.nan, 3.0]), "non-finite precipitation value"),
+    (lambda d, t, p: (d, t, p - 0.5), "precipitation outside sane range"),
+    (lambda d, t, p: (d, t, p + 1998.0), r"precipitation outside sane range \[0, 2000.0\] mm"),
+], ids=["lengths", "empty", "non-finite-temperature", "hot", "unordered",
+        "precipitation-length", "non-finite-precipitation", "negative-precipitation",
+        "precipitation-beyond-record"])
+def test_series_invariants(edit, says):
+    with pytest.raises(InputError, match=f"^{says}"):
+        TemperatureSeries(*edit(*caller_arrays()))
+
+
+def test_precipitation_bound_is_inclusive():
+    d, t, _ = caller_arrays()
+    assert TemperatureSeries(d, t, [0.0, 2000.0, 1.0]).precip.max() == 2000.0
+
+
 def test_series_leaves_caller_arrays_writable():
     d, t, p = caller_arrays()
     TemperatureSeries(dates=d, temps=t, precip=p)

@@ -76,18 +76,17 @@ def path_matrix(*args):
 
 class TestSimulatePaths:
     def test_zero_noise_on_mean_tracks_mean_function(self):
-        cfg = config(constant_vol_override=0.0)
-        ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
-        paths = path_matrix(SEASONAL, 0.1872, None, cfg, START)
+        cfg = config()
+        ens = simulate_paths(SEASONAL, 0.1872, 0.0, cfg, START)
+        paths = path_matrix(SEASONAL, 0.1872, 0.0, cfg, START)
         expected = evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
         assert np.allclose(paths, expected[np.newaxis, :], atol=1e-10)
         assert np.allclose(ens.mean_path, expected, atol=1e-10)
 
     def test_zero_noise_deviation_decay(self):
         d0 = 3.0
-        cfg = config(n_paths=1, constant_vol_override=0.0,
-                     t0_temp=evaluate_seasonal_mean(SEASONAL, 0) + d0)
-        paths = path_matrix(SEASONAL, 0.1872, None, cfg, START)
+        cfg = config(n_paths=1, t0_temp=evaluate_seasonal_mean(SEASONAL, 0) + d0)
+        paths = path_matrix(SEASONAL, 0.1872, 0.0, cfg, START)
         expected_dev = d0 * (1 - 0.1872) ** np.arange(cfg.n_days)
         dev = paths[0] - evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
         assert np.allclose(dev, expected_dev, atol=1e-9)
@@ -122,8 +121,8 @@ class TestSimulatePaths:
         assert np.array_equal(ens.p05, np.percentile(paths, 5, axis=0))
         assert np.array_equal(ens.p95, np.percentile(paths, 95, axis=0))
         assert np.array_equal(ens.mean_path, paths.mean(axis=0))
-        if n_paths >= 2:
-            assert np.array_equal(ens.cross_path_sd, paths.std(axis=0, ddof=1))
+        assert np.array_equal(ens.cross_path_sd, paths.std(axis=0, ddof=1)
+                              if n_paths >= 2 else np.zeros(n_days))
 
     def test_blocks_are_contiguous_day_rows(self):
         cfg = config(n_paths=3, n_days=800)
@@ -170,15 +169,15 @@ class TestSimulatePaths:
             tracemalloc.stop()
         assert peak < bound
 
-    @pytest.mark.parametrize("override", [None, 0.0, 1.3])
+    # "None": no constant sigma, so the volatility process runs.
+    @pytest.mark.parametrize("vol", [VOL, 0.0, 1.3], ids=["None", "0.0", "1.3"])
     @pytest.mark.parametrize("start", [START, dt.date(2003, 3, 17)])
     @pytest.mark.parametrize("n_days", [1, 2, 365, 366, 1100])
-    def test_one_path_equals_first_column(self, n_days, start, override):
+    def test_one_path_equals_first_column(self, n_days, start, vol):
         # One path steps Python floats, three step numpy rows.
         def stacked(n_paths):
-            cfg = config(n_paths=n_paths, n_days=n_days, master_seed=5,
-                         constant_vol_override=override)
-            return path_matrix(SEASONAL, 0.1872, VOL, cfg, start)
+            cfg = config(n_paths=n_paths, n_days=n_days, master_seed=5)
+            return path_matrix(SEASONAL, 0.1872, vol, cfg, start)
         assert np.array_equal(stacked(1)[0], stacked(3)[0])
 
     def test_one_path_equals_first_column_at_vol_floor(self):
@@ -248,24 +247,21 @@ class TestSimulatePaths:
             simulate_paths(SEASONAL, kappa, VOL, config(), START)
 
     @pytest.mark.parametrize("override", [float("nan"), float("inf"), -1.0])
-    def test_override_must_be_finite_and_non_negative(self, override):
+    def test_override_must_be_finite_and_non_negative(self, override, monkeypatch):
+        # Refused before the ensemble allocates or draws anything.
+        monkeypatch.setattr(simulate, "month_index", None)
         with pytest.raises(InputError, match="^constant_vol_override must be finite "
                                              "and non-negative$"):
-            config(constant_vol_override=override)
+            simulate_paths(SEASONAL, 0.1872, override, config(), START)
 
-    def test_missing_vol_params(self):
-        with pytest.raises(InputError):
-            simulate_paths(SEASONAL, 0.1872, None, config(), START)
-
-    def test_single_path_has_no_sd(self):
+    def test_single_path_has_zero_sd(self):
         ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=1), START)
-        assert ens.cross_path_sd is None
+        assert np.array_equal(ens.cross_path_sd, np.zeros(100))
 
 
 class TestEnsembleSummary:
     def test_identical_paths_zero_sd(self):
-        cfg = config(constant_vol_override=0.0)
-        ens = simulate_paths(SEASONAL, 0.1872, None, cfg, START)
+        ens = simulate_paths(SEASONAL, 0.1872, 0.0, config(), START)
         assert np.all(ens.cross_path_sd == 0.0)
         assert np.array_equal(ens.p05, ens.mean_path)
         assert np.array_equal(ens.p95, ens.mean_path)
@@ -293,8 +289,7 @@ class TestSyntheticSeries:
         assert lengths == [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 
     def test_zero_override_equals_mean_function(self):
-        s = generate_synthetic_series(SEASONAL, 0.1872, VOL, 2005, 1, seed=3,
-                                      constant_vol_override=0.0)
+        s = generate_synthetic_series(SEASONAL, 0.1872, 0.0, 2005, 1, seed=3)
         expected = evaluate_seasonal_mean(SEASONAL, np.arange(365))
         assert np.allclose(s.temps, expected, atol=1e-10)
 
@@ -311,9 +306,8 @@ class TestSyntheticSeries:
         # No trend/seasonality, constant vol: long-run per-day variance of
         # the unit-step recursion is sigma^2 / (1 - (1-kappa)^2).
         kappa, sigma = 0.1872, 0.877
-        cfg = SimulationConfig(n_paths=4000, n_days=301, master_seed=17,
-                               t0_temp=26.0, constant_vol_override=sigma)
-        ens = simulate_paths(FLAT, kappa, None, cfg, START)
+        cfg = SimulationConfig(n_paths=4000, n_days=301, master_seed=17, t0_temp=26.0)
+        ens = simulate_paths(FLAT, kappa, sigma, cfg, START)
         target = sigma ** 2 / (1 - (1 - kappa) ** 2)
         var = ens.cross_path_sd[-1] ** 2
         assert var == pytest.approx(target, rel=0.08)

@@ -134,6 +134,11 @@ class TestMetrics:
         with pytest.raises(InputError):
             rmse([1, 2], [1])
 
+    @pytest.mark.parametrize("metric", [rmse, mape, r_squared])
+    def test_empty_sequences(self, metric):
+        with pytest.raises(InputError, match="^empty sequences$"):
+            metric([], [])
+
     def test_mape_identity(self):
         assert mape([10, 20], [10, 20]) == 0.0
 
@@ -154,6 +159,10 @@ class TestMetrics:
     def test_r_squared_constant_obs(self):
         with pytest.raises(InputError):
             r_squared([2, 2, 2], [1, 2, 3])
+
+    def test_r_squared_one_observation(self):
+        with pytest.raises(InputError, match="at least 2 observations"):
+            r_squared([2.0], [1.0])
 
     def test_r_squared_rmse_relation(self):
         rng = np.random.default_rng(5)
