@@ -27,15 +27,19 @@ being yielded, whatever the number of days; :func:`simulate_paths` adds
 one more block-sized summary buffer. A consumer that needs the whole
 path matrix replays the blocks, which the seeding contract makes exact.
 
-A one-path ensemble (every synthetic series) steps Python floats
-instead of 1-element rows, in both layers, which spares numpy's
-per-call overhead on each operation. The bits are the same: a Python
-float ``+``, ``-`` or ``*`` is one IEEE-754 double operation rounded to
-nearest, exactly what the float64 ufunc does on a 1-element row;
-:func:`_ou_steps` applies them in the same order on both routes, and
-``lo if x < lo else x`` floors a float to the value ``np.maximum`` gives.
-:func:`generate_synthetic_series` reads its path straight from the
-blocks of :func:`day_blocks`.
+A one-path ensemble (every synthetic series) is one block of all its
+days, so its memory is ``sigma`` (n_months floats) and three n_days
+buffers (normals, rows and the summary's copy): no more than the four
+per-day summary arrays that :func:`simulate_paths` returns anyway. It
+steps Python floats instead of 1-element rows, in both layers, which
+spares numpy's per-call overhead on each operation. The bits are the
+same: a Python float ``+``, ``-`` or ``*`` is one IEEE-754 double
+operation rounded to nearest, exactly what the float64 ufunc does on a
+1-element row; :func:`_ou_steps` applies them in the same order on both
+routes, and ``lo if x < lo else x`` floors a float to the value
+``np.maximum`` gives. :func:`generate_synthetic_series` is the
+``mean_path`` of a one-path :func:`simulate_paths`, which is the path
+itself, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .volatility import VolatilityModelParams
 
 VOL_FLOOR = 1e-6
 
-# Days per block of the streaming kernel.
+# Days per block of the streaming kernel for two or more paths.
 BLOCK_DAYS = 365
 
 
@@ -71,6 +75,12 @@ class SimulationConfig:
             raise MemoryError(f"a {self.n_paths} x {self.n_days} ensemble is too large for numpy")
         if self.master_seed < 0:
             raise InputError("master_seed must be non-negative")
+
+    @property
+    def block_days(self) -> int:
+        """Days per block of :func:`day_blocks`: BLOCK_DAYS, or all of
+        them for one path, which is then no larger than its summary."""
+        return self.n_days if self.n_paths == 1 else min(BLOCK_DAYS, self.n_days)
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ def unstable_kappa_t(kappa_t: float) -> str | None:
 def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
                vol: VolatilityModelParams | float, config: SimulationConfig,
                start):
-    """Simulate an ensemble day-major, BLOCK_DAYS days at a time.
+    """Simulate an ensemble day-major, ``config.block_days`` days at a time.
 
     Takes the arguments of :func:`simulate_paths` (checked when iteration
     starts) and yields ``(first_day, block)`` in day order, where
@@ -144,7 +154,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
     stochastic = isinstance(vol, VolatilityModelParams)
     # The negated test also refuses nan, which fails every comparison.
     if not stochastic and not 0 <= vol < math.inf:
-        raise InputError("constant_vol_override must be finite and non-negative")
+        raise InputError(f"the constant volatility {vol!r} must be finite and non-negative")
     if unstable := unstable_kappa_t(kappa_t):
         raise InputError(unstable)
 
@@ -153,7 +163,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
     # Allocated before the generators, so that an ensemble too large for
     # memory fails here rather than after creating n_paths of them.
     sigma = np.empty((int(month_idx[-1]) + 1, n_paths))
-    z = np.empty((n_paths, min(BLOCK_DAYS, n_days)))
+    z = np.empty((n_paths, config.block_days))
     rngs = [np.random.default_rng([config.master_seed, p]) for p in range(n_paths)]
     if stochastic:
         sigma[0] = vol.sigma_bar
@@ -165,8 +175,8 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
 
     m = evaluate_seasonal_mean(seasonal, np.arange(n_days))
     last = config.t0_temp
-    for first in range(0, n_days, BLOCK_DAYS):
-        stop = min(first + BLOCK_DAYS, n_days)
+    for first in range(0, n_days, config.block_days):
+        stop = min(first + config.block_days, n_days)
         # rows[k] is day j0 + k; day j + 1 steps from day j with the
         # j-th daily normal of each path, so rows[1:] first holds the
         # noise of the n_steps steps.
@@ -204,16 +214,17 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa_t: float,
     The paths are summarized block by block as :func:`day_blocks` yields
     them and never held whole, so memory is ``sigma`` (n_paths *
     n_months floats), the normals buffer, the rows of one block and one
-    path-major summary buffer of n_paths * BLOCK_DAYS floats, plus four
-    floats per day. Each path draws its monthly volatility normals, then
-    its daily normals, from the generator seeded [master_seed, p]; the
-    summary equals, bit for bit, numpy's mean, std(ddof=1) and
-    percentile over the (n_paths, n_days) path matrix, with an sd of
-    zeros for one path. A non-finite summary value raises InputError.
+    path-major summary buffer of n_paths * ``config.block_days`` floats,
+    plus four floats per day. Each path draws its monthly volatility
+    normals, then its daily normals, from the generator seeded
+    [master_seed, p]; the summary equals, bit for bit, numpy's mean,
+    std(ddof=1) and percentile over the (n_paths, n_days) path matrix,
+    with an sd of zeros for one path. A non-finite summary value raises
+    InputError.
     """
     n_paths, n_days = config.n_paths, config.n_days
     mean_path, sd, p05, p95 = np.zeros((4, n_days))   # sd stays 0 for one path
-    buffer = np.empty(n_paths * min(BLOCK_DAYS, n_days))
+    buffer = np.empty(n_paths * config.block_days)
     for first, block in day_blocks(seasonal, kappa_t, vol, config, start):
         days = slice(first, first + len(block))
         # Reducing a path-major copy over axis 0 adds the paths in index
@@ -235,7 +246,7 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa_t: float,
     ens = SimulatedEnsemble(mean_path=mean_path, cross_path_sd=sd, p05=p05, p95=p95)
     if not all(np.isfinite(a).all() for a in vars(ens).values()):
         raise InputError("the simulated ensemble overflowed to a non-finite "
-                         "value; the report's parameters are out of range")
+                         "value; kappa_t or the volatility is out of range")
     return ens
 
 
@@ -263,7 +274,10 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
 
     ``vol`` is as in :func:`simulate_paths`. Calendar months drive the
     volatility switching; T(0) is the seasonal mean at day 0. The result
-    parses/fits like an observed series.
+    parses/fits like an observed series. The path is the ``mean_path`` of
+    a one-path :func:`simulate_paths`, so it shares that function's checks:
+    a path that overflows raises its InputError, and one that leaves the
+    sane temperature range raises one that blames the volatility.
     """
     if n_years < 1:
         raise InputError("n_years must be >= 1")
@@ -272,13 +286,10 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
                          "outside the ISO date range 1..9999")
     start = dt.date(start_year, 1, 1)
     dates = leap_free_days(start, DAYS_PER_YEAR * n_years)
-    config = SimulationConfig(
-        n_paths=1,
-        n_days=len(dates),
-        master_seed=seed,
-        t0_temp=evaluate_seasonal_mean(seasonal, 0),
-    )
-    temps = np.empty(config.n_days)
-    for first, block in day_blocks(seasonal, kappa_t, vol, config, start):
-        temps[first:first + len(block)] = block[:, 0]
-    return TemperatureSeries(dates=dates, temps=temps)
+    config = SimulationConfig(n_paths=1, n_days=len(dates), master_seed=seed,
+                              t0_temp=evaluate_seasonal_mean(seasonal, 0))
+    temps = simulate_paths(seasonal, kappa_t, vol, config, start).mean_path
+    try:
+        return TemperatureSeries(dates=dates, temps=temps)
+    except InputError as exc:   # a finite path can fail only the sane range
+        raise InputError(f"synthetic series: {exc}; its volatility {vol} is too large") from None

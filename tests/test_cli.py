@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -554,7 +555,22 @@ class TestSynth:
         assert run("synth", "--years", "1", "--sigma-override", value,
                    "--out", str(out)) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "input error: constant_vol_override must be finite and non-negative"]
+            f"input error: the constant volatility {value} must be finite and non-negative"]
+        assert not out.exists()
+
+    # nan is refused before simulating; 1e308 overflows the path, which
+    # must raise no numpy warning on the way; 100 leaves the sane
+    # temperature range.
+    @pytest.mark.parametrize("value", ["nan", "100", "1e308"])
+    def test_sigma_override_that_breaks_the_series_exit_2(self, tmp_path, capsys, value):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("synth", "--years", "2", "--sigma-override", value,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:")
+        assert "volatility" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--start-year", "0"],

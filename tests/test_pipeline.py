@@ -85,7 +85,7 @@ class TestEvaluateModel:
     def test_infinite_override_is_refused_as_such(self, synthetic_series,
                                                   synthetic_report):
         # Not as an overflowing ensemble: the report itself is fine.
-        with pytest.raises(InputError, match="constant_vol_override must be finite"):
+        with pytest.raises(InputError, match="the constant volatility inf must be finite"):
             evaluate_model(synthetic_series, synthetic_report, n_paths=2, seed=0,
                            constant_vol_override=float("inf"))
 

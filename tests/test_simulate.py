@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,9 +109,10 @@ class TestSimulatePaths:
         paths = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=6), START)
         assert np.array_equal(ens.mean_path, paths.mean(axis=0))
 
-    # 800 days: two full blocks and a partial one. 1000 paths take the
-    # 5th and 95th percentiles between sorted indices 49/50 and 949/950,
-    # and make the in-place sd sum over many paths.
+    # 800 days: one block for one path, and two full blocks and a partial
+    # one for more paths. 1000 paths take the 5th and 95th percentiles
+    # between sorted indices 49/50 and 949/950, and make the in-place sd
+    # sum over many paths.
     @pytest.mark.parametrize("n_paths, n_days", [
         pytest.param(n, d, id=str(n))
         for n, d in [(1, 800), (2, 800), (3, 800), (20, 800), (1000, 400)]])
@@ -130,6 +132,12 @@ class TestSimulatePaths:
         assert [first for first, _ in blocks] == [0, 365, 730]
         assert [b.shape for _, b in blocks] == [(365, 3), (365, 3), (70, 3)]
         assert all(b.flags.c_contiguous for _, b in blocks)
+
+    def test_one_path_is_one_block(self):
+        cfg = config(n_paths=1, n_days=800)
+        blocks = list(day_blocks(SEASONAL, 0.1872, VOL, cfg, START))
+        assert [(first, b.shape) for first, b in blocks] == [(0, (800, 1))]
+        assert blocks[0][1].flags.c_contiguous
 
     def test_block_length_does_not_change_paths(self, monkeypatch):
         # Drawing each path's normals in chunks replays its one-shot stream.
@@ -179,6 +187,15 @@ class TestSimulatePaths:
             cfg = config(n_paths=n_paths, n_days=n_days, master_seed=5)
             return path_matrix(SEASONAL, 0.1872, vol, cfg, start)
         assert np.array_equal(stacked(1)[0], stacked(3)[0])
+
+    @pytest.mark.parametrize("vol", [VOL, 0.0, 1.3], ids=["stochastic", "0.0", "1.3"])
+    def test_synthetic_series_is_a_one_path_ensemble(self, vol):
+        series = generate_synthetic_series(SEASONAL, 0.1872, vol, START.year, 2, seed=5)
+        one, five = (config(n_paths=n, n_days=730, master_seed=5) for n in (1, 5))
+        assert np.array_equal(series.temps,
+                              simulate_paths(SEASONAL, 0.1872, vol, one, START).mean_path)
+        assert np.array_equal(series.temps,
+                              path_matrix(SEASONAL, 0.1872, vol, five, START)[0])
 
     def test_one_path_equals_first_column_at_vol_floor(self):
         # With sigma_sigma = 2 about a third of the months hit VOL_FLOOR,
@@ -250,8 +267,9 @@ class TestSimulatePaths:
     def test_override_must_be_finite_and_non_negative(self, override, monkeypatch):
         # Refused before the ensemble allocates or draws anything.
         monkeypatch.setattr(simulate, "month_index", None)
-        with pytest.raises(InputError, match="^constant_vol_override must be finite "
-                                             "and non-negative$"):
+        value = re.escape(repr(override))
+        with pytest.raises(InputError, match=f"^the constant volatility {value} "
+                                             "must be finite and non-negative$"):
             simulate_paths(SEASONAL, 0.1872, override, config(), START)
 
     def test_single_path_has_zero_sd(self):
