@@ -8,7 +8,9 @@ codes: 0 success, 2 input error, 3 estimation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -88,17 +90,39 @@ def run_describe(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _output_files(*paths):
+    """Checks that each of ``paths`` (None for an absent one) opens for
+    writing before the body writes any of them, so that one bad path
+    leaves every file as it was. If the body fails, the files this run
+    created are removed."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.exists(path)
+            open(path, "a", encoding="utf-8").close()   # creates, never truncates
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def run_fit(args) -> int:
     series, removed = _load_series(args.input)
     report = pipeline.fit_full_model(series, leap_days_removed=removed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(pipeline.report_to_dict(report), fh, indent=2)
-    if args.vols_csv:
-        with open(args.vols_csv, "w", encoding="utf-8") as fh:
-            vols = report.monthly_vols
-            fh.write("year,month,sigma\n")
-            fh.write(float_rows("".join(f"{e.year},{e.month}\n" for e in vols.entries),
-                                vols.sigmas[:, np.newaxis]))
+    with _output_files(args.out, args.vols_csv):
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(pipeline.report_to_dict(report), fh, indent=2)
+        if args.vols_csv:
+            with open(args.vols_csv, "w", encoding="utf-8") as fh:
+                vols = report.monthly_vols
+                fh.write("year,month,sigma\n")
+                fh.write(float_rows("".join(f"{e.year},{e.month}\n" for e in vols.entries),
+                                    vols.sigmas[:, np.newaxis]))
     s = report.seasonal
     print("Seasonal mean function")
     print(f"  a_T    {s.a_t:.6g}")
@@ -141,14 +165,15 @@ def run_simulate(args) -> int:
     kappa_t = report.kappa.kappa_t
     ens = simulate.simulate_paths(report.seasonal, kappa_t, report.vol,
                                   config, report.meta.start)
-    _write_day_rows(args.out, "mean,sd,p05,p95", [(0, np.column_stack(
-        (ens.mean_path, ens.cross_path_sd, ens.p05, ens.p95)))])
-    if args.full_paths:
-        # A second pass: the seeding contract makes the replay exact.
-        _write_day_rows(args.full_paths,
-                        ",".join(f"path_{p}" for p in range(args.paths)),
-                        simulate.day_blocks(report.seasonal, kappa_t,
-                                            report.vol, config, report.meta.start))
+    with _output_files(args.out, args.full_paths):
+        _write_day_rows(args.out, "mean,sd,p05,p95", [(0, np.column_stack(
+            (ens.mean_path, ens.cross_path_sd, ens.p05, ens.p95)))])
+        if args.full_paths:
+            # A second pass: the seeding contract makes the replay exact.
+            _write_day_rows(args.full_paths,
+                            ",".join(f"path_{p}" for p in range(args.paths)),
+                            simulate.day_blocks(report.seasonal, kappa_t,
+                                                report.vol, config, report.meta.start))
     return 0
 
 

@@ -8,8 +8,9 @@ zero is the closed form
 
     kappa = -log( sum w r_{j-1} r_j / sum w r_{j-1}^2 )
 
-with r the seasonal residuals. The estimating-function value at the
-estimate is kept as a diagnostic; it must vanish up to rounding.
+with r the seasonal residuals. The caller derives r and the month index
+once per fit. The estimating-function value at the estimate is kept as a
+diagnostic; it must vanish up to rounding.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, InputError
-from .seasonal import SeasonalMeanParams, residuals
-from .series import TemperatureSeries, month_index
+from .errors import EstimationError
 from .stats import lag1_rate
 from .volatility import MonthlyVolatilitySeries
 
@@ -49,36 +48,26 @@ def estimating_function(resid: np.ndarray, weights: np.ndarray,
     return float(np.sum(weights * r_prev * (r_next - r_prev * math.exp(-kappa))))
 
 
-def transition_weights(series: TemperatureSeries,
-                       vols: MonthlyVolatilitySeries) -> np.ndarray:
-    """1 / sigma^2(month of day j-1) for each transition j; ``vols`` must
-    list the series' calendar months in order."""
-    month_id, months = month_index(series.dates)
-    if [(e.year, e.month) for e in vols.entries] != months:
-        raise EstimationError(
-            "no monthly volatility list matching the series' calendar months "
-            f"({len(months)} from {months[0][0]}-{months[0][1]:02d})",
-            stage="mean_reversion")
+def transition_weights(month_id: np.ndarray, vols: MonthlyVolatilitySeries) -> np.ndarray:
+    """1 / sigma^2(month of day j-1) for each transition j, where day j
+    lies in month ``vols.entries[month_id[j]]``."""
     sigma = vols.sigmas[month_id[:-1]]
     if np.any(sigma <= 0.0):
-        year, month = months[month_id[np.argmax(sigma <= 0.0)]]
+        e = vols.entries[month_id[np.argmax(sigma <= 0.0)]]
         raise EstimationError(
-            f"zero volatility in month {year}-{month:02d}; "
+            f"zero volatility in month {e.year}-{e.month:02d}; "
             "transition weights undefined", stage="mean_reversion")
     return 1.0 / sigma ** 2
 
 
-def estimate_kappa(series: TemperatureSeries, seasonal: SeasonalMeanParams,
+def estimate_kappa(resid: np.ndarray, month_id: np.ndarray,
                    vols: MonthlyVolatilitySeries) -> MeanReversionEstimate:
-    """Closed-form zero of the weighted estimating equation."""
-    if len(series) < 3:
-        raise InputError("need at least 3 observations to estimate kappa")
-    r = residuals(series, seasonal)
-    w = transition_weights(series, vols)
-    kappa = lag1_rate(r, w, "mean_reversion", "residuals",
+    """Closed-form zero of the weighted estimating equation in ``resid``."""
+    w = transition_weights(month_id, vols)
+    kappa = lag1_rate(resid, w, "mean_reversion", "residuals",
                       "all lagged residuals are zero")
     return MeanReversionEstimate(
         kappa_t=kappa,
-        g_at_kappa=estimating_function(r, w, kappa),
+        g_at_kappa=estimating_function(resid, w, kappa),
         n_terms=w.size,
     )

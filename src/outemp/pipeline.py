@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import EstimationError, InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
 from .seasonal import SeasonalMeanParams, fit_seasonal_mean, residuals
-from .series import TemperatureSeries, is_leap_day, parse_iso_date
+from .series import TemperatureSeries, is_leap_day, month_index, parse_iso_date
 from .simulate import SimulationConfig, simulate_paths, unstable_kappa_t
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
                     anderson_darling_normal, describe, fit_metrics)
@@ -51,16 +51,18 @@ class FitReport:
 
 def fit_full_model(series: TemperatureSeries,
                    leap_days_removed: int = 0) -> FitReport:
-    """Fit every model stage on a leap-stripped series.
+    """Fit every model stage on a leap-stripped series, deriving the
+    residuals and the month index once for the stages that use them.
 
     Estimation failures propagate as EstimationError labeled with the
     failing stage; a series too short to fit raises InputError.
     """
     seasonal = fit_seasonal_mean(series)
     resid = residuals(series, seasonal)
-    vols = monthly_quadratic_variation(series)
+    month_id, months = month_index(series.dates)
+    vols = monthly_quadratic_variation(series.temps, month_id, months)
     vol_params = fit_volatility_model(vols)
-    kappa = estimate_kappa(series, seasonal, vols)
+    kappa = estimate_kappa(resid, month_id, vols)
     return FitReport(
         seasonal=seasonal,
         kappa=kappa,

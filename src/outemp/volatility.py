@@ -4,10 +4,11 @@ volatility process parameters.
 Volatility is treated as constant within a calendar month and stochastic
 across months. Each month's sigma comes from the quadratic variation of
 daily temperature increments whose endpoints both lie in that month;
-cross-month increments belong to neither month. The month-to-month sigma
-series is then modeled as a mean-reverting process with level sigma_bar,
-volatility-of-volatility sigma_sigma and reversion rate kappa_sigma (all
-per unit month).
+cross-month increments belong to neither month, and the caller's month
+index (:func:`~outemp.series.month_index`) says which month a day is in.
+The month-to-month sigma series is then modeled as a mean-reverting
+process with level sigma_bar, volatility-of-volatility sigma_sigma and
+reversion rate kappa_sigma (all per unit month).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .series import TemperatureSeries, month_index, read_only_copy
+from .series import read_only_copy
 from .stats import lag1_rate
 
 
@@ -59,13 +60,13 @@ class VolatilityModelParams:
             raise InputError("kappa_sigma must be positive")
 
 
-def monthly_quadratic_variation(series: TemperatureSeries) -> MonthlyVolatilitySeries:
+def monthly_quadratic_variation(temps: np.ndarray, month_id: np.ndarray,
+                                months: list[tuple[int, int]]) -> MonthlyVolatilitySeries:
     """Per-month volatility from squared consecutive-day increments.
 
     For a month with N days, sigma^2 = sum of the N-1 within-month squared
     first differences divided by N-1.
     """
-    month_id, months = month_index(series.dates)
     counts = np.bincount(month_id)
     if counts.min() < 2:
         year, month = months[counts.argmin()]
@@ -74,7 +75,7 @@ def monthly_quadratic_variation(series: TemperatureSeries) -> MonthlyVolatilityS
     # Row k is month k padded with its last temperature: its increments
     # end in zeros and sum in the order of a sum over the month alone.
     cols = np.minimum(np.arange(counts.max()), counts[:, np.newaxis] - 1)
-    d = np.diff(series.temps[(np.cumsum(counts) - counts)[:, np.newaxis] + cols])
+    d = np.diff(temps[(np.cumsum(counts) - counts)[:, np.newaxis] + cols])
     sigmas = np.sqrt(np.sum(d * d, axis=1) / (counts - 1))
     return MonthlyVolatilitySeries([MonthlyVolatility(year, month, sigma)
                                     for (year, month), sigma in zip(months, sigmas.tolist())])

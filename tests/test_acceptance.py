@@ -26,7 +26,7 @@ from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL, main
 from outemp.meanrev import estimating_function, transition_weights
 from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
                              fit_seasonal_mean, ols_fit, residuals)
-from outemp.series import TemperatureSeries, leap_free_days
+from outemp.series import TemperatureSeries, leap_free_days, month_index
 from outemp.simulate import (SimulationConfig, day_blocks, generate_synthetic_series,
                              simulate_paths)
 from outemp.stats import anderson_darling_normal, mape, r_squared, rmse
@@ -139,7 +139,7 @@ def test_criterion_04_estimating_equation_zero(recovery_fits):
     ok = True
     for series, report in recovery_fits:
         r = residuals(series, report.seasonal)
-        w = transition_weights(series, report.monthly_vols)
+        w = transition_weights(month_index(series.dates)[0], report.monthly_vols)
         k = report.kappa.kappa_t
         scale = estimating_terms_scale(r, w, k)
         if abs(estimating_function(r, w, k)) > 1e-8 * scale:
@@ -156,7 +156,8 @@ def test_criterion_05_exact_decay_estimators():
     flat = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
     from outemp.meanrev import estimate_kappa
     from test_meanrev import constant_vols_for
-    k_t = estimate_kappa(s, flat, constant_vols_for(s)).kappa_t
+    k_t = estimate_kappa(residuals(s, flat), month_index(s.dates)[0],
+                         constant_vols_for(s)).kappa_t
     d = 0.5 * 0.372 ** np.arange(24)
     vols = MonthlyVolatilitySeries(entries=tuple(
         MonthlyVolatility(2000 + i // 12, i % 12 + 1, 0.877 + d[i])

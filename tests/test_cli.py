@@ -195,6 +195,85 @@ class TestFit:
         assert not report.exists()
 
 
+def write_daily_csv(path, start, temps):
+    days = (np.datetime64(start) + np.arange(len(temps))).astype(str).tolist()
+    path.write_text("date,t_avg_c\n" + "".join(
+        f"{d},{x!r}\n" for d, x in zip(days, temps.tolist())))
+    return path
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate"])
+def test_constant_month_exit_3(tmp_path, capsys, command):
+    # Two years of noise but a constant February 2001: that month's sigma
+    # is 0, so its transitions have no weight.
+    temps = 25.0 + np.random.default_rng(1).standard_normal(730)
+    temps[31:59] = 25.0
+    f = write_daily_csv(tmp_path / "const_feb.csv", "2001-01-01", temps)
+    report = tmp_path / "r.json"
+    rest = ["--out", str(report)] if command == "fit" else ["--paths", "20"]
+    assert run(command, "--input", str(f), *rest) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "estimation failure: [mean_reversion] zero volatility in month 2001-02; "
+        "transition weights undefined"]
+    assert not report.exists()
+
+
+def test_one_day_first_month_exit_2(tmp_path, capsys):
+    temps = 25.0 + np.random.default_rng(2).standard_normal(730)
+    f = write_daily_csv(tmp_path / "jan31.csv", "2001-01-31", temps)
+    report = tmp_path / "r.json"
+    assert run("fit", "--input", str(f), "--out", str(report)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: month 2001-01 has 1 observation(s); need at least 2"]
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_bad_second_output_path_writes_nothing(small_synth, tmp_path, capsys, command,
+                                               existing):
+    # Both outputs open before either is written: a second path that
+    # cannot open leaves no new first file and an old one as it was.
+    first = tmp_path / "first.out"
+    if existing:
+        first.write_bytes(b"an earlier run\n")
+    missing = str(tmp_path / "no_such_dir" / "second.csv")
+    if command == "fit":
+        argv = ["fit", "--input", str(small_synth), "--out", str(first),
+                "--vols-csv", missing]
+    else:
+        argv = ["simulate", "--report", str(GOLDEN_REPORT), "--paths", "3", "--days", "5",
+                "--out", str(first), "--full-paths", missing]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("input error:") and "no_such_dir" in err[0]
+    if existing:
+        assert first.read_bytes() == b"an earlier run\n"
+    else:
+        assert not first.exists()
+
+
+def test_failed_write_removes_the_files_it_created(tmp_path, capsys, monkeypatch):
+    write = cli._write_day_rows
+    def disk_full_on_paths(path, columns, blocks):
+        if columns.startswith("path_"):
+            Path(path).write_text("day,")
+            raise OSError(28, "No space left on device")
+        write(path, columns, blocks)
+    monkeypatch.setattr(cli, "_write_day_rows", disk_full_on_paths)
+    old, new, paths = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "paths.csv"
+    old.write_text("an earlier run\n")
+    for out in (old, new):
+        assert run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "3",
+                   "--days", "5", "--out", str(out), "--full-paths", str(paths)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: [Errno 28] No space left on device"]
+    assert old.exists() and not new.exists() and not paths.exists()
+
+
 @pytest.mark.parametrize("argv", [["fit", "--out"], ["describe", "--out"]],
                          ids=["fit", "describe"])
 def test_precipitation_beyond_any_record_exit_2(small_synth, tmp_path, capsys, argv):
@@ -466,6 +545,11 @@ class TestEvaluate:
         assert set(payload) == {"rmse", "mape_pct", "r2"}
         assert payload["rmse"] > 0
 
+    def test_one_path_exit_2(self, small_synth, capsys):
+        assert run("evaluate", "--input", str(small_synth), "--paths", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "input error: evaluation needs at least 2 paths"]
 
     def test_exact_zero_observation_reports_null_mape(self, small_synth, capsys):
         lines = small_synth.read_text().splitlines()

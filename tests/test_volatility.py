@@ -10,12 +10,18 @@ from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
                                VolatilityModelParams, estimate_kappa_sigma,
                                estimate_sigma_bar, estimate_sigma_sigma,
                                monthly_quadratic_variation)
-from outemp.series import TemperatureSeries, leap_free_days
+from outemp.series import TemperatureSeries, leap_free_days, month_index
 
 
 def series_from_temps(temps, start):
     return TemperatureSeries(dates=leap_free_days(start, len(temps)),
                              temps=np.asarray(temps, float))
+
+
+def qv(series):
+    """monthly_quadratic_variation on the temperatures and month index of
+    ``series``."""
+    return monthly_quadratic_variation(series.temps, *month_index(series.dates))
 
 
 def vols_from_sigmas(sigmas):
@@ -27,7 +33,7 @@ def vols_from_sigmas(sigmas):
 class TestMonthlyQuadraticVariation:
     def test_constant_month_zero(self):
         s = series_from_temps([25.0] * 30, dt.date(2001, 4, 1))
-        vols = monthly_quadratic_variation(s)
+        vols = qv(s)
         assert len(vols) == 1
         assert vols.entries[0] == MonthlyVolatility(2001, 4, 0.0)
 
@@ -35,7 +41,7 @@ class TestMonthlyQuadraticVariation:
         # 30-day month alternating 0,1: 29 increments of magnitude 1.
         temps = [float(i % 2) + 20.0 for i in range(30)]
         s = series_from_temps(temps, dt.date(2001, 4, 1))
-        vols = monthly_quadratic_variation(s)
+        vols = qv(s)
         assert vols.entries[0].sigma == pytest.approx(1.0, abs=1e-12)
 
     def test_cross_month_increment_excluded(self):
@@ -43,7 +49,7 @@ class TestMonthlyQuadraticVariation:
         # boundary must not contaminate either month.
         temps = [20.0] * 30 + [30.0] * 31
         s = series_from_temps(temps, dt.date(2001, 4, 1))
-        vols = monthly_quadratic_variation(s)
+        vols = qv(s)
         assert [e.sigma for e in vols.entries] == [0.0, 0.0]
 
     def test_shift_invariance(self):
@@ -51,8 +57,8 @@ class TestMonthlyQuadraticVariation:
         temps = 25.0 + rng.normal(size=61)
         s0 = series_from_temps(temps, dt.date(2001, 3, 1))
         s1 = series_from_temps(temps + 7.0, dt.date(2001, 3, 1))
-        a = monthly_quadratic_variation(s0).sigmas
-        b = monthly_quadratic_variation(s1).sigmas
+        a = qv(s0).sigmas
+        b = qv(s1).sigmas
         assert np.allclose(a, b, atol=1e-12)
 
     def test_sigmas_built_once_and_read_only(self):
@@ -81,11 +87,11 @@ class TestMonthlyQuadraticVariation:
     def test_single_day_month_rejected(self):
         s = series_from_temps([25.0, 25.0, 25.0], dt.date(2001, 3, 30))
         with pytest.raises(InputError, match="2001-04"):
-            monthly_quadratic_variation(s)
+            qv(s)
 
     def test_chronological_one_entry_per_month(self):
         s = series_from_temps(np.full(365, 25.0), dt.date(2001, 1, 1))
-        vols = monthly_quadratic_variation(s)
+        vols = qv(s)
         assert [(e.year, e.month) for e in vols.entries] == [
             (2001, m) for m in range(1, 13)]
 
