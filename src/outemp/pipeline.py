@@ -83,29 +83,21 @@ def fit_full_model(series: TemperatureSeries,
 
 
 def evaluate_model(series: TemperatureSeries, report: FitReport,
-                   n_paths: int, seed: int,
-                   t0_temp: float | None = None,
-                   constant_vol_override: float | None = None) -> FitMetrics:
+                   n_paths: int, seed: int) -> FitMetrics:
     """RMSE/MAPE/R^2 of the observations against the mean simulated path.
 
-    The ensemble runs over the observed span with calendar-month
-    volatility switching; T(0) defaults to the first observation, and
-    ``constant_vol_override`` replaces the fitted volatility process with
-    a constant sigma. MAPE is None when an observation is exactly 0. A
-    fitted kappa_t the Euler day step cannot take raises EstimationError.
+    The ensemble runs the fitted model over the observed span from
+    T(0) = the first observation, with calendar-month volatility
+    switching. MAPE is None when an observation is exactly 0. A fitted
+    kappa_t the Euler day step cannot take raises EstimationError.
     """
     if n_paths < 2:
         raise InputError("evaluation needs at least 2 paths")
     if unstable := unstable_kappa_t(report.kappa.kappa_t):
         raise EstimationError(unstable, stage="mean_reversion")
-    config = SimulationConfig(
-        n_paths=n_paths,
-        n_days=len(series),
-        master_seed=seed,
-        t0_temp=float(series.temps[0]) if t0_temp is None else t0_temp,
-    )
-    vol = report.vol if constant_vol_override is None else constant_vol_override
-    ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, vol,
+    config = SimulationConfig(n_paths=n_paths, n_days=len(series),
+                              master_seed=seed, t0_temp=float(series.temps[0]))
+    ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, report.vol,
                               config, series.dates[0])
     return fit_metrics(series.temps, ensemble.mean_path)
 

@@ -28,18 +28,21 @@ one more block-sized summary buffer. A consumer that needs the whole
 path matrix replays the blocks, which the seeding contract makes exact.
 
 A one-path ensemble (every synthetic series) is one block of all its
-days, so its memory is ``sigma`` (n_months floats) and three n_days
-buffers (normals, rows and the summary's copy): no more than the four
-per-day summary arrays that :func:`simulate_paths` returns anyway. It
-steps Python floats instead of 1-element rows, in both layers, which
-spares numpy's per-call overhead on each operation. The bits are the
-same: a Python float ``+``, ``-`` or ``*`` is one IEEE-754 double
+days. It steps Python floats instead of 1-element rows, in both layers,
+which spares numpy's per-call overhead on each operation. The bits are
+the same: a Python float ``+``, ``-`` or ``*`` is one IEEE-754 double
 operation rounded to nearest, exactly what the float64 ufunc does on a
 1-element row; :func:`_ou_steps` applies them in the same order on both
 routes, and ``lo if x < lo else x`` floors a float to the value
 ``np.maximum`` gives. :func:`generate_synthetic_series` is the
 ``mean_path`` of a one-path :func:`simulate_paths`, which is the path
-itself, bit for bit.
+itself, bit for bit. The float route holds ``dm``, ``m``, the noise and
+the steps as Python lists of n_days floats, so a 24-year series peaks
+at 1.82 MiB (tracemalloc), against 0.27 MiB for the four per-day
+summary arrays and 0.64 MiB with 365-day blocks. The one block is kept
+because it is faster: 2.8-4.5 ms against 3.6-5.9 ms median per series,
+with bit-identical output (three runs of 30 interleaved rounds on a
+2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class SimulationConfig:
     @property
     def block_days(self) -> int:
         """Days per block of :func:`day_blocks`: BLOCK_DAYS, or all of
-        them for one path, which is then no larger than its summary."""
+        them for one path, the faster layout (see the module docstring)."""
         return self.n_days if self.n_paths == 1 else min(BLOCK_DAYS, self.n_days)
 
 
@@ -142,10 +145,10 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
                start):
     """Simulate an ensemble day-major, ``config.block_days`` days at a time.
 
-    Takes the arguments of :func:`simulate_paths` (checked when iteration
-    starts) and yields ``(first_day, block)`` in day order, where
-    ``block`` is a new C-contiguous ``(days_in_block, n_paths)`` array
-    whose row i holds day ``first_day + i`` of every path.
+    Takes the arguments of :func:`simulate_paths`, checks them and sets
+    up at the call, and returns an iterator of ``(first_day, block)`` in
+    day order, where ``block`` is a new C-contiguous ``(days_in_block,
+    n_paths)`` array whose row i holds day ``first_day + i`` of every path.
 
     Each block steps through :func:`_ou_steps` from the day before it,
     with the same draws and operations for any number of paths, so one
@@ -174,27 +177,30 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
         sigma[:] = vol
 
     m = evaluate_seasonal_mean(seasonal, np.arange(n_days))
-    last = config.t0_temp
-    for first in range(0, n_days, config.block_days):
-        stop = min(first + config.block_days, n_days)
-        # rows[k] is day j0 + k; day j + 1 steps from day j with the
-        # j-th daily normal of each path, so rows[1:] first holds the
-        # noise of the n_steps steps.
-        j0 = max(first - 1, 0)
-        n_steps = stop - 1 - j0
-        for p, rng in enumerate(rngs):
-            rng.standard_normal(out=z[p, :n_steps])
-        rows = np.empty((stop - j0, n_paths))
-        rows[0] = last
-        # The indices are in range; mode="raise" would gather into a hidden copy.
-        np.take(sigma, month_idx[j0:stop - 1], axis=0, out=rows[1:], mode="clip")
-        rows[1:] *= z[:, :n_steps].T
-        _ou_steps(rows, np.diff(m[j0:stop]), m[j0:stop - 1], kappa_t, -math.inf)
-        last = rows[-1].copy()
-        yield first, rows[first - j0:]
-        # Without this reference a block the consumer has released is
-        # freed before the next one is allocated.
-        del rows
+
+    def blocks():
+        last = config.t0_temp
+        for first in range(0, n_days, config.block_days):
+            stop = min(first + config.block_days, n_days)
+            # rows[k] is day j0 + k; day j + 1 steps from day j with the
+            # j-th daily normal of each path, so rows[1:] first holds the
+            # noise of the n_steps steps.
+            j0 = max(first - 1, 0)
+            n_steps = stop - 1 - j0
+            for p, rng in enumerate(rngs):
+                rng.standard_normal(out=z[p, :n_steps])
+            rows = np.empty((stop - j0, n_paths))
+            rows[0] = last
+            # The indices are in range; mode="raise" would gather into a hidden copy.
+            np.take(sigma, month_idx[j0:stop - 1], axis=0, out=rows[1:], mode="clip")
+            rows[1:] *= z[:, :n_steps].T
+            _ou_steps(rows, np.diff(m[j0:stop]), m[j0:stop - 1], kappa_t, -math.inf)
+            last = rows[-1].copy()
+            yield first, rows[first - j0:]
+            # Without this reference a block the consumer has released is
+            # freed before the next one is allocated.
+            del rows
+    return blocks()
 
 
 # An overflow shows as a non-finite summary value, which raises at the end.
@@ -222,10 +228,13 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa_t: float,
     with an sd of zeros for one path. A non-finite summary value raises
     InputError.
     """
+    # Checked before the summary is allocated: a bad kappa_t or volatility
+    # is named as such, whatever the ensemble's size.
+    blocks = day_blocks(seasonal, kappa_t, vol, config, start)
     n_paths, n_days = config.n_paths, config.n_days
     mean_path, sd, p05, p95 = np.zeros((4, n_days))   # sd stays 0 for one path
     buffer = np.empty(n_paths * config.block_days)
-    for first, block in day_blocks(seasonal, kappa_t, vol, config, start):
+    for first, block in blocks:
         days = slice(first, first + len(block))
         # Reducing a path-major copy over axis 0 adds the paths in index
         # order, as the whole matrix would; a reduction along the

@@ -29,7 +29,7 @@ from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasona
 from outemp.series import TemperatureSeries, leap_free_days, month_index
 from outemp.simulate import (SimulationConfig, day_blocks, generate_synthetic_series,
                              simulate_paths)
-from outemp.stats import anderson_darling_normal, mape, r_squared, rmse
+from outemp.stats import anderson_darling_normal, fit_metrics, mape, r_squared, rmse
 from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
                                estimate_kappa_sigma)
 
@@ -225,8 +225,11 @@ def test_criterion_09_metric_identities():
                                        DEFAULT_VOL, 2000, 6, seed=0)
     report = fit_full_model(series)
     t0 = evaluate_seasonal_mean(report.seasonal, 0)
-    metrics = evaluate_model(series, report, n_paths=2, seed=0, t0_temp=t0,
-                             constant_vol_override=0.0)
+    ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, 0.0,
+                              SimulationConfig(n_paths=2, n_days=len(series),
+                                               master_seed=0, t0_temp=t0),
+                              series.dates[0])
+    metrics = fit_metrics(series.temps, ensemble.mean_path)
     checks.append(abs(metrics.r_squared - report.seasonal.r_squared_fit) <= 1e-9)
     _gate(9, "hand-computed metric values and zero-noise R^2 identity",
           all(checks))

@@ -461,6 +461,21 @@ class TestSimulate:
         assert len(err) == 1 and err[0].startswith("input error:") and says in err[0]
         assert not out.exists()
 
+    # The kappa_t check runs before the ensemble allocates anything, so a
+    # size too large for memory does not hide it behind the memory line.
+    @pytest.mark.parametrize("paths", ["1", "2"])
+    def test_unstable_kappa_t_named_before_memory(self, tmp_path, capsys, paths):
+        bad, out = tmp_path / "bad.json", tmp_path / "e.csv"
+        bad.write_text(json.dumps(
+            edited_report("kappa_t", 2.5)(json.loads(GOLDEN_REPORT.read_text()))))
+        rc = run("simulate", "--report", str(bad), "--paths", paths,
+                 "--days", "1000000000000", "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["input error: kappa_t 2.5 is outside 0 < kappa_t < 2, "
+                       "the stable range of the Euler day step"]
+        assert not out.exists()
+
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
             raise MemoryError

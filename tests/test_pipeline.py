@@ -8,8 +8,8 @@ import pytest
 import outemp
 from outemp import (EstimationError, evaluate_model, fit_full_model,
                     report_from_dict, report_to_dict)
-from outemp.seasonal import evaluate_seasonal_mean
-from outemp.simulate import generate_synthetic_series
+from outemp.simulate import SimulationConfig, generate_synthetic_series, simulate_paths
+from outemp.stats import fit_metrics
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
 from outemp.errors import InputError
 
@@ -65,14 +65,14 @@ class TestFitFullModel:
 
 
 class TestEvaluateModel:
-    def test_zero_noise_matches_seasonal_fit(self, synthetic_series,
-                                             synthetic_report):
-        t0 = evaluate_seasonal_mean(synthetic_report.seasonal, 0)
-        metrics = evaluate_model(synthetic_series, synthetic_report,
-                                 n_paths=2, seed=0, t0_temp=t0,
-                                 constant_vol_override=0.0)
-        assert metrics.r_squared == pytest.approx(
-            synthetic_report.seasonal.r_squared_fit, abs=1e-9)
+    def test_scores_the_fitted_ensemble_from_the_first_observation(
+            self, synthetic_series, synthetic_report):
+        series, report = synthetic_series, synthetic_report
+        config = SimulationConfig(200, len(series), 3, float(series.temps[0]))
+        ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, report.vol,
+                                  config, series.dates[0])
+        assert evaluate_model(series, report, 200, 3) == fit_metrics(
+            series.temps, ensemble.mean_path)
 
     def test_stochastic_metrics_reasonable(self, synthetic_series,
                                            synthetic_report):
@@ -81,13 +81,6 @@ class TestEvaluateModel:
         assert 0.2 < metrics.r_squared < 0.8
         assert 0.5 < metrics.rmse < 3.0
         assert 0.0 < metrics.mape_pct < 15.0
-
-    def test_infinite_override_is_refused_as_such(self, synthetic_series,
-                                                  synthetic_report):
-        # Not as an overflowing ensemble: the report itself is fine.
-        with pytest.raises(InputError, match="the constant volatility inf must be finite"):
-            evaluate_model(synthetic_series, synthetic_report, n_paths=2, seed=0,
-                           constant_vol_override=float("inf"))
 
     def test_needs_two_paths(self, synthetic_series, synthetic_report):
         with pytest.raises(InputError):
