@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import EstimationError, InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
 from .seasonal import SeasonalMeanParams, fit_seasonal_mean, residuals
-from .series import TemperatureSeries, is_leap_day, month_index, parse_iso_date
+from .series import TemperatureSeries, is_leap_day, on_leap_free_calendar, parse_iso_date
 from .simulate import SimulationConfig, simulate_paths, unstable_kappa_t
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
                     anderson_darling_normal, describe, fit_metrics)
@@ -52,14 +52,21 @@ class FitReport:
 def fit_full_model(series: TemperatureSeries,
                    leap_days_removed: int = 0) -> FitReport:
     """Fit every model stage on a leap-stripped series, deriving the
-    residuals and the month index once for the stages that use them.
+    residuals once and taking the month index from the cached leap-free
+    calendar, for the stages that use them.
 
+    A series that is not that calendar from its first date, one with a
+    Feb 29 or a gap, raises InputError, and so does one too short to fit.
     Estimation failures propagate as EstimationError labeled with the
-    failing stage; a series too short to fit raises InputError.
+    failing stage.
     """
+    calendar = on_leap_free_calendar(series.dates)
+    if calendar is None:
+        raise InputError("series has a Feb 29 or a gap; fit a series that "
+                         "strip_leap_days returns")
     seasonal = fit_seasonal_mean(series)
     resid = residuals(series, seasonal)
-    month_id, months = month_index(series.dates)
+    month_id, months = calendar.month_id, calendar.months
     vols = monthly_quadratic_variation(series.temps, month_id, months)
     vol_params = fit_volatility_model(vols)
     kappa = estimate_kappa(resid, month_id, vols)

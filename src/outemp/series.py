@@ -10,19 +10,30 @@ adjustment. Volatility is constant within the calendar months that
 
 Every calendar question is answered from one integer civil calendar:
 :func:`_civil` turns ``datetime64[D]`` day numbers into year, month and
-day arrays with a dozen integer operations (Hinnant's days-to-civil).
-Leap days, month numbering and the date text that :func:`serialize_csv`
-writes all come from it. :func:`float_rows` writes every float of every
-CSV the package outputs.
+day arrays with a dozen integer operations (Hinnant's days-to-civil),
+and :func:`_days_from_civil` turns them back, which is how the CSV
+reader decodes its dates. Leap days, month numbering and the date text
+that :func:`serialize_csv` writes all come from it.
+
+The leap-free calendar of n days from a start is built once and cached
+(:func:`leap_free_calendar`, a few calendars at a time): its read-only
+dates, month ids and months serve the simulator, the fit and
+:func:`strip_leap_days`, and :func:`serialize_csv` caches the date text
+of the ones it writes. A synth -> serialize -> parse -> strip -> fit
+replicate of a calendar seen before converts one date column, the
+reader's, where it converted seven without the cache.
+:func:`float_rows` writes every float of every CSV the package outputs.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +49,8 @@ PRECIP_MAX_MM = 2000.0
 
 CSV_HEADER = ("date", "t_avg_c", "precip_mm")
 
+# date.toordinal() of 1970-01-01, day 0 of datetime64[D].
+_EPOCH_ORDINAL = 719_163
 # (column in YYYY-MM-DD, place value in the integer YYYYMMDD) of each digit.
 _DATE_DIGITS = tuple(zip((0, 1, 2, 3, 5, 6, 8, 9), [10 ** k for k in range(7, -1, -1)]))
 
@@ -117,27 +130,81 @@ def _civil(dates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return era * 400 + yoe + (mp >= 10), (mp + 2) % 12 + 1, day
 
 
+def _days_from_civil(year, month, day) -> np.ndarray:
+    """Days since 1970-01-01 of integer (year, month, day) arrays, by
+    Hinnant's days-from-civil, the inverse of :func:`_civil` on valid
+    dates. An invalid date maps to some day whose :func:`_civil` differs."""
+    year = np.asarray(year, np.int64) - (np.asarray(month) <= 2)
+    era = year // 400
+    yoe = year - era * 400                    # 0..399
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1   # from March 1
+    return era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719_468
+
+
 def is_leap_day(dates) -> np.ndarray:
     """True where a date falls on February 29."""
     _, month, day = _civil(dates)
     return (month == 2) & (day == 29)
 
 
-def leap_free_days(start, n: int) -> np.ndarray:
-    """``n`` consecutive calendar days from ``start``, Feb 29 skipped."""
-    start = np.datetime64(start, "D")
-    if is_leap_day(start):
-        raise InputError(f"start date {start} falls on Feb 29, "
+class LeapFreeCalendar(NamedTuple):
+    """``n`` consecutive days from a start, Feb 29 skipped: the read-only
+    ``dates`` and ``month_id`` and the tuple ``months`` that
+    :func:`month_index` gives for them."""
+
+    dates: np.ndarray
+    month_id: np.ndarray
+    months: tuple[tuple[int, int], ...]
+
+
+def leap_free_calendar(start, n: int) -> LeapFreeCalendar:
+    """The leap-free calendar of ``n`` days from ``start``, shared by every
+    caller that asks for the same one; a start on Feb 29 raises InputError."""
+    return _calendar(int(np.datetime64(start, "D").astype(np.int64)), int(n))
+
+
+# A 24-year calendar is 0.14 MB; the few a process uses stay cached.
+@functools.lru_cache(maxsize=8)
+def _calendar(start: int, n: int) -> LeapFreeCalendar:
+    first = np.datetime64(start, "D")
+    if is_leap_day(first):
+        raise InputError(f"start date {first} falls on Feb 29, "
                          "which the leap-free calendar skips")
     # n days plus room for every Feb 29 they can straddle.
-    days = np.arange(start, start + n + n // DAYS_PER_YEAR + 2)
-    return days[~is_leap_day(days)][:n]
+    days = np.arange(first, first + n + n // DAYS_PER_YEAR + 2)
+    year, month, day = _civil(days)
+    keep = ~((month == 2) & (day == 29))
+    dates, year, month = days[keep][:n], year[keep][:n], month[keep][:n]
+    month_id, months = _month_runs(year, month)
+    for array in (dates, month_id):
+        array.flags.writeable = False
+    return LeapFreeCalendar(dates, month_id, tuple(months))
+
+
+def leap_free_days(start, n: int) -> np.ndarray:
+    """``n`` consecutive calendar days from ``start``, Feb 29 skipped
+    (read-only: :func:`leap_free_calendar`'s ``dates``)."""
+    return leap_free_calendar(start, n).dates
+
+
+def on_leap_free_calendar(dates: np.ndarray) -> LeapFreeCalendar | None:
+    """The leap-free calendar that ``dates`` are, from their first day,
+    or None when they hold a Feb 29 or a gap."""
+    try:
+        calendar = leap_free_calendar(dates[0], len(dates))
+    except InputError:   # the first date is a Feb 29
+        return None
+    return calendar if np.array_equal(dates, calendar.dates) else None
 
 
 def month_index(dates: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Each day's month id, numbering the calendar-month runs of ordered
     dates from 0, and the (year, month) of each run."""
     year, month, _ = _civil(dates)
+    return _month_runs(year, month)
+
+
+def _month_runs(year: np.ndarray, month: np.ndarray):
     months = year * 12 + month
     starts = np.concatenate(([True], months[1:] != months[:-1]))
     return (np.cumsum(starts) - 1,
@@ -165,15 +232,16 @@ def parse_csv(text: str) -> TemperatureSeries:
     file that path declines, which includes every bad one, is read again
     row by row with the ``csv`` module (:func:`_parse_rows`), which finds
     the first bad line. Both read dates by :func:`parse_iso_date`'s rules
-    and numbers with ``float`` after ``strip``, but only plain ASCII ones
-    with no ``_``, so a file the columnar path accepts gives the same
-    series row by row.
+    and numbers with ``float``, but only plain ASCII ones with no ``_``.
+    The row reader strips each field first; ``float`` strips the same
+    characters but for ``\x1c``-``\x1f``, which the columnar path
+    declines. So a file the columnar path accepts gives the same series
+    row by row.
     """
     columns = _parse_columns(text)
     days, temps, precip = columns if columns is not None else _parse_rows(text)
-    return TemperatureSeries(
-        dates=np.datetime64("0001-01-01") + np.asarray(days) - 1,
-        temps=temps, precip=precip)
+    return TemperatureSeries(dates=np.asarray(days, np.int64).view("datetime64[D]"),
+                             temps=temps, precip=precip)
 
 
 def _parse_header(fields: list[str]) -> int | None:
@@ -187,17 +255,19 @@ def _parse_header(fields: list[str]) -> int | None:
 def _parse_columns(text: str):
     """``(days, temps, precip)`` of a well-formed CSV, else None.
 
-    Days are ``date.toordinal()`` values. Without quotes or carriage
-    returns the ``csv`` module reads a line as the text between its
-    commas, so the fields are taken by one split of the whole body, after
-    checking, on a byte array, that every line has exactly as many
-    fields as the header. Each column is then converted in one pass. The
-    result is None whenever anything is off, and then only the
-    row-by-row reader says what: a quote, carriage return or non-ASCII
-    character anywhere, an underscore below the header, a bad header, no
-    rows, a blank line between rows, a wrong field count, a field longer
-    than the ``csv`` module reads, a value that does not convert, a
-    non-finite number or dates that do not strictly increase.
+    Days count from 1970-01-01. Without quotes or carriage returns the
+    ``csv`` module reads a line as the text between its commas, so the
+    fields are taken by one split of the whole body, after checking, on a
+    byte array, that every line has exactly as many fields as the header.
+    The dates are read from that byte array (:func:`_decode_dates`) and
+    each number column is converted in one pass. The result is None
+    whenever anything is off, and then only the row-by-row reader says
+    what: a quote, carriage return or non-ASCII character anywhere, an
+    underscore below the header, a bad header, no rows, a blank line
+    between rows, a wrong field count, a field longer than the ``csv``
+    module reads, a date that is not ``YYYY-MM-DD`` with no padding or
+    not a real day, a value that does not convert, a non-finite number
+    or dates that do not strictly increase.
     """
     if '"' in text or "\r" in text or not text.isascii():
         return None
@@ -217,15 +287,15 @@ def _parse_columns(text: str):
         return None
     if max(at[0], np.diff(at).max(initial=0) - 1) > csv.field_size_limit():
         return None
-    fields = body[:-1].replace("\n", ",").split(",")
-    dates = fields[0::width]
-    if not _plain_iso_dates(dates):
+    # Each line starts after the previous one's newline, with its date.
+    starts = np.concatenate(([0], at[width - 1:-1:width] + 1))
+    days = _decode_dates(raw, starts, at[::width])
+    if days is None:
         return None
-    n = len(dates)
+    fields = body[:-1].replace("\n", ",").split(",")
+    n = len(days)
     try:
-        days = np.fromiter(map(dt.date.toordinal, map(dt.date.fromisoformat, dates)),
-                           np.int64, n)
-        values = [np.fromiter(map(float, map(str.strip, fields[k::width])), float, n)
+        values = [np.fromiter(map(float, fields[k::width]), float, n)
                   for k in range(1, width)]
     except ValueError:
         return None
@@ -234,16 +304,26 @@ def _parse_columns(text: str):
     return days, values[0], values[1] if width == 3 else None
 
 
-def _plain_iso_dates(fields: list[str]) -> bool:
-    """True if every field is 10 characters with dashes at 4 and 7 and a
-    digit at each end: :func:`parse_iso_date` checks the first two, and
-    the ends show ``strip`` would change nothing. For such fields
-    ``parse_iso_date(field.strip())`` is ``date.fromisoformat(field)``."""
-    joined = "".join(fields)
-    dashes = "-" * len(fields)
-    return (set(map(len, fields)) == {10} and joined[4::10] == dashes
-            and joined[7::10] == dashes and joined[0::10].isdigit()
-            and joined[9::10].isdigit())
+def _decode_dates(raw: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Days since 1970-01-01 of the fields ``raw[starts[i]:ends[i]]``, or
+    None unless every one is a ``YYYY-MM-DD`` date that
+    :func:`parse_iso_date` reads the same, unchanged by ``strip``: ten
+    characters, dashes at 4 and 7, ASCII digits elsewhere, a year from 1
+    and a month and day that exist, which :func:`_civil` confirms by
+    giving back the same (year, month, day)."""
+    if np.any(ends - starts != 10):
+        return None
+    chars = raw[starts[:, None] + np.arange(10)]
+    digits = chars[:, [col for col, _ in _DATE_DIGITS]] - np.uint8(ord("0"))
+    if np.any(chars[:, [4, 7]] != ord("-")) or np.any(digits > 9):
+        return None
+    stamp = digits.astype(np.int64) @ np.array([place for _, place in _DATE_DIGITS])
+    year, month, day = stamp // 10_000, stamp // 100 % 100, stamp % 100
+    days = _days_from_civil(year, month, day)
+    y, m, d = _civil(days.view("datetime64[D]"))
+    if year.min() < 1 or np.any((y != year) | (m != month) | (d != day)):
+        return None
+    return days
 
 
 def _parse_rows(text: str):
@@ -261,7 +341,7 @@ def _parse_rows(text: str):
             f"{','.join(h.strip() for h in header)!r}", line=1)
     has_precip = width == 3
 
-    days: list[int] = []  # date.toordinal(): 0001-01-01 is day 1
+    days: list[int] = []  # from 1970-01-01
     temps: list[float] = []
     precip: list[float] = []
     prev: dt.date | None = None
@@ -284,7 +364,7 @@ def _parse_rows(text: str):
         temps.append(_parse_number(row[1], "temperature", lineno))
         if has_precip:
             precip.append(_parse_number(row[2], "precipitation", lineno))
-        days.append(date.toordinal())
+        days.append(date.toordinal() - _EPOCH_ORDINAL)
 
     if not days:
         raise InputError("no data rows")
@@ -334,23 +414,41 @@ def float_rows(leads: str, values: np.ndarray) -> str:
 def serialize_csv(series: TemperatureSeries) -> str:
     """Inverse of :func:`parse_csv`; round-trips exactly.
 
-    Dates are written ``YYYY-MM-DD`` from one byte template and the values
-    by :func:`float_rows`. Dates outside years 1..9999, which
-    ``YYYY-MM-DD`` cannot write, raise InputError.
+    Dates are written ``YYYY-MM-DD`` by :func:`_date_lines`, whose text
+    for a leap-free calendar is cached, and the values by
+    :func:`float_rows`. Dates outside years 1..9999, which ``YYYY-MM-DD``
+    cannot write, raise InputError.
     """
-    year, month, day = _civil(series.dates)
-    if year[0] < 1 or year[-1] > 9999:
+    years, _, _ = _civil(series.dates[[0, -1]])
+    if years[0] < 1 or years[1] > 9999:
         raise InputError(f"dates {series.dates[0]} .. {series.dates[-1]} "
                          "outside years 1..9999")
     columns = [series.temps] if series.precip is None else [series.temps, series.precip]
-    stamp = ((year * 100 + month) * 100 + day).astype(np.int32)   # YYYYMMDD
-    dates = np.empty((len(stamp), 11), np.uint8)
-    dates[:] = np.frombuffer(b"YYYY-MM-DD\n", np.uint8)
-    for col, place in _DATE_DIGITS:
-        dates[:, col] = ord("0") + stamp // place % 10
+    if on_leap_free_calendar(series.dates) is None:
+        dates = _date_lines(series.dates)
+    else:
+        dates = _calendar_date_lines(int(series.dates[0].astype(np.int64)), len(series))
     header = ",".join(CSV_HEADER[:1 + len(columns)])
-    return f"{header}\n" + float_rows(dates.tobytes().decode("ascii"),
-                                      np.column_stack(columns))
+    return f"{header}\n" + float_rows(dates, np.column_stack(columns))
+
+
+def _date_lines(dates: np.ndarray) -> str:
+    """``YYYY-MM-DD`` and a newline for each date, from one byte template."""
+    year, month, day = _civil(dates)
+    stamp = ((year * 100 + month) * 100 + day).astype(np.int32)   # YYYYMMDD
+    lines = np.empty((len(stamp), 11), np.uint8)
+    lines[:] = np.frombuffer(b"YYYY-MM-DD\n", np.uint8)
+    for col, place in _DATE_DIGITS:
+        lines[:, col] = ord("0") + stamp // place % 10
+    return lines.tobytes().decode("ascii")
+
+
+# Built only when a calendar is written; 8,760 days are 96 kB of text.
+@functools.lru_cache(maxsize=4)
+def _calendar_date_lines(start: int, n: int) -> str:
+    """:func:`_date_lines` of the leap-free calendar of ``n`` days from
+    day ``start`` (counted from 1970-01-01)."""
+    return _date_lines(_calendar(start, n).dates)
 
 
 def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:
@@ -358,8 +456,10 @@ def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:
 
     Consecutive records in the returned series differ by exactly one
     calendar day with Feb 29 skipped. Any other gap raises InputError.
-    Idempotent.
+    A series that is already so is returned itself, so this is idempotent.
     """
+    if on_leap_free_calendar(series.dates) is not None:
+        return series
     keep = ~is_leap_day(series.dates)
     stripped = TemperatureSeries(series.dates[keep], series.temps[keep],
                                  None if series.precip is None else series.precip[keep])
@@ -371,4 +471,3 @@ def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:
         raise InputError(
             f"gap in series: expected {expected[i]} after {dates[i - 1]}, got {dates[i]}")
     return stripped
-

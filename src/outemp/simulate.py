@@ -33,8 +33,9 @@ which spares numpy's per-call overhead on each operation. The bits are
 the same: a Python float ``+``, ``-`` or ``*`` is one IEEE-754 double
 operation rounded to nearest, exactly what the float64 ufunc does on a
 1-element row; :func:`_ou_steps` applies them in the same order on both
-routes, and ``lo if x < lo else x`` floors a float to the value
-``np.maximum`` gives. :func:`generate_synthetic_series` is the
+routes, and ``if x < lo: x = lo`` floors a float to the value
+``np.maximum`` gives. Neither route floors the temperature layer, whose
+floor of -inf changes no value. :func:`generate_synthetic_series` is the
 ``mean_path`` of a one-path :func:`simulate_paths`, which is the path
 itself, bit for bit. The float route holds ``dm``, ``m``, the noise and
 the steps as Python lists of n_days floats, so a 24-year series peaks
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import InputError
 from .seasonal import SeasonalMeanParams, evaluate_seasonal_mean
-from .series import DAYS_PER_YEAR, TemperatureSeries, leap_free_days, month_index
+from .series import DAYS_PER_YEAR, TemperatureSeries, leap_free_calendar
 from .volatility import VolatilityModelParams
 
 VOL_FLOOR = 1e-6
@@ -114,19 +115,30 @@ def _ou_steps(rows: np.ndarray, dm, m, kappa: float, lo: float) -> np.ndarray:
     k - 1; ``dm`` and ``m`` are scalars or hold one value per step. Two or
     more paths step one row at a time, a single path Python floats."""
     n_steps = len(rows) - 1
-    dm, m = np.broadcast_to(dm, n_steps), np.broadcast_to(m, n_steps)
+    dm = np.broadcast_to(dm, n_steps).tolist()
+    m = np.broadcast_to(m, n_steps).tolist()
+    floored = lo > -math.inf   # the temperature layer's floor changes nothing
     if rows.shape[1] == 1:
         x = rows[0, 0].item()
         steps = [x]
-        for dm_k, m_k, noise in zip(dm.tolist(), m.tolist(), rows[1:, 0].tolist()):
+        for dm_k, m_k, noise in zip(dm, m, rows[1:, 0].tolist()):
             x = x + dm_k + kappa * (m_k - x) + noise
-            x = lo if x < lo else x   # max(x, lo) without the call's cost
+            if floored and x < lo:   # max(x, lo) without the call's cost
+                x = lo
             steps.append(x)
         rows[:, 0] = steps
         return rows
+    # (x + dm) + kappa * (m - x), then + noise, through two reused rows.
+    pull, x_dm = np.empty((2, rows.shape[1]))
     for k in range(n_steps):
-        np.maximum(rows[k] + dm[k] + kappa * (m[k] - rows[k]) + rows[k + 1], lo,
-                   out=rows[k + 1])
+        x, out = rows[k], rows[k + 1]
+        np.subtract(m[k], x, out=pull)
+        np.multiply(kappa, pull, out=pull)
+        np.add(x, dm[k], out=x_dm)
+        np.add(x_dm, pull, out=x_dm)
+        np.add(x_dm, out, out=out)
+        if floored:
+            np.maximum(out, lo, out=out)
     return rows
 
 
@@ -162,7 +174,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
         raise InputError(unstable)
 
     n_paths, n_days = config.n_paths, config.n_days
-    month_idx, _ = month_index(leap_free_days(start, n_days))
+    month_idx = leap_free_calendar(start, n_days).month_id
     # Allocated before the generators, so that an ensemble too large for
     # memory fails here rather than after creating n_paths of them.
     sigma = np.empty((int(month_idx[-1]) + 1, n_paths))
@@ -221,9 +233,10 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa_t: float,
     them and never held whole, so memory is ``sigma`` (n_paths *
     n_months floats), the normals buffer, the rows of one block and one
     path-major summary buffer of n_paths * ``config.block_days`` floats,
-    plus four floats per day. Each path draws its monthly volatility
-    normals, then its daily normals, from the generator seeded
-    [master_seed, p]; the summary equals, bit for bit, numpy's mean,
+    plus four floats per day and the cached leap-free calendar's two
+    integers per day, which stays for later calls. Each path draws its
+    monthly volatility normals, then its daily normals, from the generator
+    seeded [master_seed, p]; the summary equals, bit for bit, numpy's mean,
     std(ddof=1) and percentile over the (n_paths, n_days) path matrix,
     with an sd of zeros for one path. A non-finite summary value raises
     InputError.
@@ -294,7 +307,7 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
         raise InputError(f"years {start_year}..{start_year + n_years - 1} "
                          "outside the ISO date range 1..9999")
     start = dt.date(start_year, 1, 1)
-    dates = leap_free_days(start, DAYS_PER_YEAR * n_years)
+    dates = leap_free_calendar(start, DAYS_PER_YEAR * n_years).dates
     config = SimulationConfig(n_paths=1, n_days=len(dates), master_seed=seed,
                               t0_temp=evaluate_seasonal_mean(seasonal, 0))
     temps = simulate_paths(seasonal, kappa_t, vol, config, start).mean_path

@@ -14,6 +14,7 @@ reversion rate kappa_sigma (all per unit month).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,7 @@ class VolatilityModelParams:
 
 
 def monthly_quadratic_variation(temps: np.ndarray, month_id: np.ndarray,
-                                months: list[tuple[int, int]]) -> MonthlyVolatilitySeries:
+                                months: Sequence[tuple[int, int]]) -> MonthlyVolatilitySeries:
     """Per-month volatility from squared consecutive-day increments.
 
     For a month with N days, sigma^2 = sum of the N-1 within-month squared

@@ -11,7 +11,9 @@ from outemp import (EstimationError, evaluate_model, fit_full_model,
 from outemp.simulate import SimulationConfig, generate_synthetic_series, simulate_paths
 from outemp.stats import fit_metrics
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
+from outemp import series
 from outemp.errors import InputError
+from outemp.series import TemperatureSeries
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,39 @@ class TestFitFullModel:
                               temps=np.array([25.0, 26.0]))
         with pytest.raises(InputError):
             fit_full_model(s)
+
+
+    @pytest.mark.parametrize("dates", [
+        np.delete(np.arange(np.datetime64("2001-01-01"), np.datetime64("2002-01-02")), 40),
+        np.arange(np.datetime64("2000-01-01"), np.datetime64("2001-01-01")),
+    ], ids=["gap", "feb-29"])
+    def test_refuses_a_series_off_the_leap_free_calendar(self, dates):
+        s = TemperatureSeries(dates=dates, temps=np.full(dates.size, 25.0))
+        with pytest.raises(InputError, match="strip_leap_days"):
+            fit_full_model(s)
+
+    def test_a_second_replicate_reuses_the_calendar(self, monkeypatch):
+        # synth -> serialize -> parse -> strip -> fit derives the calendar
+        # once; only the reader's date check converts a whole column again,
+        # where each stage once derived it for itself (seven conversions).
+        def replicate(seed):
+            synth = generate_synthetic_series(DEFAULT_SEASONAL, DEFAULT_KAPPA_T,
+                                              DEFAULT_VOL, 2000, 24, seed=seed)
+            parsed = series.strip_leap_days(series.parse_csv(series.serialize_csv(synth)))
+            return fit_full_model(parsed)
+
+        sizes = []
+        civil = series._civil
+
+        def counting(dates):
+            sizes.append(np.size(dates))
+            return civil(dates)
+
+        monkeypatch.setattr(series, "_civil", counting)
+        replicate(0)
+        sizes.clear()
+        replicate(5)
+        assert sum(size > 2 for size in sizes) == 1
 
 
 class TestEvaluateModel:

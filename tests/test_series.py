@@ -184,6 +184,9 @@ FIELD_MUTATIONS = {
     "out_of_range": ("number", lambda f, draw: "99.0"),
     "basic_date": ("date", lambda f, draw: f.replace("-", "")),
     "week_date": ("date", lambda f, draw: "2000-W01-1"),
+    "impossible_date": ("date", lambda f, draw: draw(st.sampled_from([
+        "2001-02-29", "2000-02-30", "2000-13-01", "2000-00-10", "2000-01-00",
+        "0000-01-01", "2000-1a-01", "+200-01-01"]))),
 }
 MUTATIONS = sorted(ROW_MUTATIONS + list(FIELD_MUTATIONS))
 
@@ -360,6 +363,53 @@ def test_civil_matches_datetime_date():
                             for d in map(dt.date.fromordinal, range(1, n + 1))),
                            np.int64, n)
     assert np.array_equal((year * 100 + month) * 100 + day, expected)
+
+
+def test_days_from_civil_inverts_civil():
+    # Every day from 0001-01-01 to 9999-12-31.
+    days = np.arange(np.datetime64("0001-01-01"), np.datetime64("10000-01-01"))
+    year, month, day = _civil(days)
+    back = series_module._days_from_civil(year, month, day)
+    assert np.array_equal(back, days.astype(np.int64))
+
+
+class TestLeapFreeCalendar:
+    def test_arrays_are_read_only(self):
+        calendar = series_module.leap_free_calendar("2000-01-01", 400)
+        for array in (calendar.dates, calendar.month_id):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
+        assert isinstance(calendar.months, tuple)
+
+    def test_same_calendar_for_any_spelling_of_the_start(self):
+        calendar = series_module.leap_free_calendar(dt.date(2000, 1, 1), 30)
+        assert series_module.leap_free_calendar("2000-01-01", 30) is calendar
+        assert series_module.leap_free_calendar(np.datetime64("2000-01-01"), 30) is calendar
+
+    @pytest.mark.parametrize("year", [1900, 2000, 2100])
+    @pytest.mark.parametrize("month, day", [(2, 28), (3, 1), (12, 31)])
+    def test_matches_an_uncached_recomputation(self, year, month, day):
+        start, n = dt.date(year, month, day), 3 * 365 + 7
+        expected, d = [], start
+        while len(expected) < n:
+            if (d.month, d.day) != (2, 29):
+                expected.append(d)
+            d += dt.timedelta(days=1)
+        assert leap_free_days(start, n).tolist() == expected
+        month_id, months = month_index(np.array(expected, "datetime64[D]"))
+        calendar = series_module.leap_free_calendar(start, n)
+        assert np.array_equal(calendar.month_id, month_id)
+        assert list(calendar.months) == months
+
+    def test_strip_returns_a_leap_free_series_itself(self):
+        s = TemperatureSeries(leap_free_days("2000-02-27", 5), np.zeros(5))
+        assert strip_leap_days(s) is s
+
+    def test_strip_still_checks_a_series_that_needs_it(self):
+        s = parse_csv(make_csv(daily_rows(dt.date(2000, 2, 27), 5)))
+        stripped = strip_leap_days(s)
+        assert len(stripped) == 4 and not is_leap_day(stripped.dates).any()
+        assert strip_leap_days(stripped) is stripped
 
 
 def test_serialize_dates_match_numpy_text():

@@ -266,7 +266,7 @@ class TestSimulatePaths:
     @pytest.mark.parametrize("override", [float("nan"), float("inf"), -1.0])
     def test_override_must_be_finite_and_non_negative(self, override, monkeypatch):
         # Refused before the ensemble allocates or draws anything.
-        monkeypatch.setattr(simulate, "month_index", None)
+        monkeypatch.setattr(simulate, "leap_free_calendar", None)
         value = re.escape(repr(override))
         with pytest.raises(InputError, match=f"^the constant volatility {value} "
                                              "must be finite and non-negative$"):
