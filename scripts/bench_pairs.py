@@ -19,13 +19,20 @@ is a gain: the change won at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range. It also
 holds the seeds, which side ran first in each pair, and perfbench's
 machine record. perfbench is driven as a subprocess and never modified.
+
+SIGTERM ends the script as Ctrl-C does: the running perfbench process
+group (``run.py``, its worker and any CLI run) is killed and reaped, and
+the exported parent tree is removed, before the script exits 143.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import tarfile
@@ -53,15 +60,26 @@ def export(revision: str, dest: Path) -> None:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in the checkout at ``root``."""
-    proc = subprocess.run(
+    """One perfbench run in the checkout at ``root``.
+
+    It runs in a process group of its own, which an interruption kills
+    whole: killing ``run.py`` alone would leave its worker and CLI runs."""
+    proc = subprocess.Popen(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, text=True, capture_output=True)
+        cwd=root, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):   # the group has ended
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench failed in {root} ({workload}, seed {seed}):\n"
-                           f"{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+                           f"{stderr[-2000:]}")
+    result = json.loads(stdout.strip().splitlines()[-1])
     record = json.loads((root / ".perfbench_out" / f"{workload}-seed{seed}-trace{trace}"
                          / "result.json").read_text())
     return {"result": result, "machine": record["machine"],
@@ -143,4 +161,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # By default SIGTERM ends the process at once, skipping every cleanup.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())

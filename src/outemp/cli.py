@@ -93,16 +93,20 @@ def run_describe(args) -> int:
 @contextlib.contextmanager
 def _output_files(*paths):
     """Checks that each of ``paths`` (None for an absent one) opens for
-    writing before the body writes any of them, so that one bad path
-    leaves every file as it was. If the body fails, the files this run
-    created are removed."""
-    created = []
+    writing and is not the file of an earlier one, before the body writes
+    any of them, so that one bad path leaves every file as it was. If a
+    check or the body fails, the files this run created are removed."""
+    created, opened = [], []
     try:
         for path in filter(None, paths):
             existed = os.path.exists(path)
             open(path, "a", encoding="utf-8").close()   # creates, never truncates
-            if not existed:
-                created.append(path)
+            if not existed:   # the file, not a dangling symlink to it
+                created.append(os.path.realpath(path))
+            for earlier in opened:
+                if os.path.samefile(earlier, path):
+                    raise InputError(f"output paths {earlier} and {path} are one file")
+            opened.append(path)
         yield
     except BaseException:
         for path in created:
@@ -137,7 +141,7 @@ def run_fit(args) -> int:
     print("Mean reversion")
     print(f"  kappa_T                    {report.kappa.kappa_t:.6g}")
     print(f"  daily adjustment fraction  {report.kappa.daily_adjustment_fraction:.4f}")
-    if unstable := simulate.unstable_kappa_t(report.kappa.kappa_t):
+    if unstable := report.model.unstable():
         print(f"note: {unstable}; simulate and evaluate will refuse this report",
               file=sys.stderr)
     return 0
@@ -156,15 +160,10 @@ def _load_report(path: str) -> pipeline.FitReport:
 
 def run_simulate(args) -> int:
     report = _load_report(args.report)
-    config = simulate.SimulationConfig(
-        n_paths=args.paths,
-        n_days=args.days,
-        master_seed=args.seed,
-        t0_temp=simulate.evaluate_seasonal_mean(report.seasonal, 0),
-    )
-    kappa_t = report.kappa.kappa_t
-    ens = simulate.simulate_paths(report.seasonal, kappa_t, report.vol,
-                                  config, report.meta.start)
+    model, start = report.model, report.meta.start
+    config = simulate.SimulationConfig(n_paths=args.paths, n_days=args.days, master_seed=args.seed,
+                                       t0_temp=simulate.evaluate_seasonal_mean(model.seasonal, 0))
+    ens = simulate.simulate_paths(model, config, start)
     with _output_files(args.out, args.full_paths):
         _write_day_rows(args.out, "mean,sd,p05,p95", [(0, np.column_stack(
             (ens.mean_path, ens.cross_path_sd, ens.p05, ens.p95)))])
@@ -172,8 +171,7 @@ def run_simulate(args) -> int:
             # A second pass: the seeding contract makes the replay exact.
             _write_day_rows(args.full_paths,
                             ",".join(f"path_{p}" for p in range(args.paths)),
-                            simulate.day_blocks(report.seasonal, kappa_t,
-                                                report.vol, config, report.meta.start))
+                            simulate.day_blocks(model, config, start))
     return 0
 
 

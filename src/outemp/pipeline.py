@@ -18,7 +18,7 @@ from .errors import EstimationError, InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
 from .seasonal import SeasonalMeanParams, fit_seasonal_mean, residuals
 from .series import TemperatureSeries, is_leap_day, on_leap_free_calendar, parse_iso_date
-from .simulate import SimulationConfig, simulate_paths, unstable_kappa_t
+from .simulate import Model, SimulationConfig, simulate_paths
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
                     anderson_darling_normal, describe, fit_metrics)
 from .volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
@@ -47,6 +47,11 @@ class FitReport:
     normality_temp: NormalityTestResult
     normality_residuals: NormalityTestResult
     meta: ReportMeta
+
+    @property
+    def model(self) -> Model:
+        """The fitted model, as the simulator takes it."""
+        return Model(self.seasonal, self.kappa.kappa_t, self.vol)
 
 
 def fit_full_model(series: TemperatureSeries,
@@ -100,12 +105,12 @@ def evaluate_model(series: TemperatureSeries, report: FitReport,
     """
     if n_paths < 2:
         raise InputError("evaluation needs at least 2 paths")
-    if unstable := unstable_kappa_t(report.kappa.kappa_t):
+    model = report.model
+    if unstable := model.unstable():
         raise EstimationError(unstable, stage="mean_reversion")
     config = SimulationConfig(n_paths=n_paths, n_days=len(series),
                               master_seed=seed, t0_temp=float(series.temps[0]))
-    ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, report.vol,
-                              config, series.dates[0])
+    ensemble = simulate_paths(model, config, series.dates[0])
     return fit_metrics(series.temps, ensemble.mean_path)
 
 

@@ -6,7 +6,7 @@ the series must be gap-free with exactly 365 observations per full year.
 The day index ``t`` is the 0-based position within the leap-stripped
 series, and the seasonal phase of index t is 2*pi*t/365 with no leap
 adjustment. Volatility is constant within the calendar months that
-:func:`month_index` numbers, for fitting and simulation alike.
+:func:`leap_free_calendar` numbers, for fitting and simulation alike.
 
 Every calendar question is answered from one integer civil calendar:
 :func:`_civil` turns ``datetime64[D]`` day numbers into year, month and
@@ -149,8 +149,8 @@ def is_leap_day(dates) -> np.ndarray:
 
 class LeapFreeCalendar(NamedTuple):
     """``n`` consecutive days from a start, Feb 29 skipped: the read-only
-    ``dates`` and ``month_id`` and the tuple ``months`` that
-    :func:`month_index` gives for them."""
+    ``dates``, each day's ``month_id``, numbering the calendar-month runs
+    from 0, and the (year, month) of each run in ``months``."""
 
     dates: np.ndarray
     month_id: np.ndarray
@@ -175,10 +175,13 @@ def _calendar(start: int, n: int) -> LeapFreeCalendar:
     year, month, day = _civil(days)
     keep = ~((month == 2) & (day == 29))
     dates, year, month = days[keep][:n], year[keep][:n], month[keep][:n]
-    month_id, months = _month_runs(year, month)
+    year_month = year * 12 + month
+    starts = np.concatenate(([True], year_month[1:] != year_month[:-1]))
+    month_id = np.cumsum(starts) - 1
     for array in (dates, month_id):
         array.flags.writeable = False
-    return LeapFreeCalendar(dates, month_id, tuple(months))
+    return LeapFreeCalendar(dates, month_id,
+                            tuple(zip(year[starts].tolist(), month[starts].tolist())))
 
 
 def leap_free_days(start, n: int) -> np.ndarray:
@@ -195,20 +198,6 @@ def on_leap_free_calendar(dates: np.ndarray) -> LeapFreeCalendar | None:
     except InputError:   # the first date is a Feb 29
         return None
     return calendar if np.array_equal(dates, calendar.dates) else None
-
-
-def month_index(dates: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Each day's month id, numbering the calendar-month runs of ordered
-    dates from 0, and the (year, month) of each run."""
-    year, month, _ = _civil(dates)
-    return _month_runs(year, month)
-
-
-def _month_runs(year: np.ndarray, month: np.ndarray):
-    months = year * 12 + month
-    starts = np.concatenate(([True], months[1:] != months[:-1]))
-    return (np.cumsum(starts) - 1,
-            list(zip(year[starts].tolist(), month[starts].tolist())))
 
 
 def parse_iso_date(text: str) -> dt.date:

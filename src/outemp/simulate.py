@@ -9,7 +9,9 @@ from the start date, the months it is estimated on. Each path's monthly
 volatility starts at sigma_bar and reverts to it at kappa_sigma per unit
 month, with dm = 0, noise sigma_sigma * Z and lo = VOL_FLOOR, because the
 Gaussian increment admits negative values the temperature equation
-cannot use.
+cannot use. The simulator functions take the model as one
+:class:`Model`, whose :meth:`~Model.unstable` is the one check that the
+Euler step can run it, for the simulator and the fit's report alike.
 
 Reproducibility contract: all variates come from numpy's PCG64
 generator; path p is seeded with the sequence [master_seed, p] and draws
@@ -63,6 +65,30 @@ VOL_FLOOR = 1e-6
 
 # Days per block of the streaming kernel for two or more paths.
 BLOCK_DAYS = 365
+
+
+@dataclass(frozen=True)
+class Model:
+    """The model the simulator runs: the seasonal mean, the per-day
+    reversion rate kappa_t and the monthly volatility process, or a float,
+    a constant sigma for every month. Nothing is refused when it is made,
+    since ``fit`` writes whatever it estimates; see :meth:`unstable`."""
+
+    seasonal: SeasonalMeanParams
+    kappa_t: float
+    vol: VolatilityModelParams | float
+
+    def unstable(self) -> str | None:
+        """The first reason the Euler simulator cannot take the model, or
+        None: a constant sigma that is not finite and >= 0, then a kappa_t
+        outside 0 < kappa_t < 2, where |1 - kappa_t| >= 1 and deviations
+        never decay. Both negated tests refuse nan too."""
+        if not isinstance(self.vol, VolatilityModelParams) and not 0 <= self.vol < math.inf:
+            return f"the constant volatility {self.vol!r} must be finite and non-negative"
+        if not 0 < self.kappa_t < 2:
+            return (f"kappa_t {self.kappa_t!r} is outside 0 < kappa_t < 2, "
+                    "the stable range of the Euler day step")
+        return None
 
 
 @dataclass(frozen=True)
@@ -142,19 +168,7 @@ def _ou_steps(rows: np.ndarray, dm, m, kappa: float, lo: float) -> np.ndarray:
     return rows
 
 
-def unstable_kappa_t(kappa_t: float) -> str | None:
-    """Why the Euler day step cannot take ``kappa_t``, or None when
-    0 < kappa_t < 2. Outside that range |1 - kappa_t| >= 1 and deviations
-    never decay; nan is outside it too."""
-    if not 0 < kappa_t < 2:
-        return (f"kappa_t {kappa_t!r} is outside 0 < kappa_t < 2, "
-                "the stable range of the Euler day step")
-    return None
-
-
-def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
-               vol: VolatilityModelParams | float, config: SimulationConfig,
-               start):
+def day_blocks(model: Model, config: SimulationConfig, start):
     """Simulate an ensemble day-major, ``config.block_days`` days at a time.
 
     Takes the arguments of :func:`simulate_paths`, checks them and sets
@@ -166,21 +180,17 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
     with the same draws and operations for any number of paths, so one
     path equals column 0 of any larger ensemble with its seed bit for bit.
     """
-    stochastic = isinstance(vol, VolatilityModelParams)
-    # The negated test also refuses nan, which fails every comparison.
-    if not stochastic and not 0 <= vol < math.inf:
-        raise InputError(f"the constant volatility {vol!r} must be finite and non-negative")
-    if unstable := unstable_kappa_t(kappa_t):
+    if unstable := model.unstable():
         raise InputError(unstable)
 
-    n_paths, n_days = config.n_paths, config.n_days
+    vol, n_paths, n_days = model.vol, config.n_paths, config.n_days
     month_idx = leap_free_calendar(start, n_days).month_id
     # Allocated before the generators, so that an ensemble too large for
     # memory fails here rather than after creating n_paths of them.
     sigma = np.empty((int(month_idx[-1]) + 1, n_paths))
     z = np.empty((n_paths, config.block_days))
     rngs = [np.random.default_rng([config.master_seed, p]) for p in range(n_paths)]
-    if stochastic:
+    if isinstance(vol, VolatilityModelParams):
         sigma[0] = vol.sigma_bar
         for p, rng in enumerate(rngs):
             sigma[1:, p] = rng.standard_normal(len(sigma) - 1)
@@ -188,7 +198,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
     else:
         sigma[:] = vol
 
-    m = evaluate_seasonal_mean(seasonal, np.arange(n_days))
+    m = evaluate_seasonal_mean(model.seasonal, np.arange(n_days))
 
     def blocks():
         last = config.t0_temp
@@ -206,7 +216,7 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
             # The indices are in range; mode="raise" would gather into a hidden copy.
             np.take(sigma, month_idx[j0:stop - 1], axis=0, out=rows[1:], mode="clip")
             rows[1:] *= z[:, :n_steps].T
-            _ou_steps(rows, np.diff(m[j0:stop]), m[j0:stop - 1], kappa_t, -math.inf)
+            _ou_steps(rows, np.diff(m[j0:stop]), m[j0:stop - 1], model.kappa_t, -math.inf)
             last = rows[-1].copy()
             yield first, rows[first - j0:]
             # Without this reference a block the consumer has released is
@@ -217,17 +227,14 @@ def day_blocks(seasonal: SeasonalMeanParams, kappa_t: float,
 
 # An overflow shows as a non-finite summary value, which raises at the end.
 @np.errstate(over="ignore", invalid="ignore")
-def simulate_paths(seasonal: SeasonalMeanParams, kappa_t: float,
-                   vol: VolatilityModelParams | float, config: SimulationConfig,
-                   start) -> SimulatedEnsemble:
+def simulate_paths(model: Model, config: SimulationConfig, start) -> SimulatedEnsemble:
     """Simulate a Monte Carlo ensemble of daily temperature paths and
     summarize it per day across paths.
 
-    ``kappa_t`` is the per-day reversion rate. ``vol`` is the monthly
-    volatility process, or a float: a constant sigma for every month,
-    which must be finite and non-negative. Simulated day 0 is the date
-    ``start``, and the monthly volatility switches on the calendar months
-    of the leap-free calendar from there.
+    A ``model`` that :meth:`Model.unstable` names raises InputError
+    before anything is allocated. Simulated day 0 is the date ``start``,
+    and the monthly volatility switches on the calendar months of the
+    leap-free calendar from there.
 
     The paths are summarized block by block as :func:`day_blocks` yields
     them and never held whole, so memory is ``sigma`` (n_paths *
@@ -241,9 +248,9 @@ def simulate_paths(seasonal: SeasonalMeanParams, kappa_t: float,
     with an sd of zeros for one path. A non-finite summary value raises
     InputError.
     """
-    # Checked before the summary is allocated: a bad kappa_t or volatility
-    # is named as such, whatever the ensemble's size.
-    blocks = day_blocks(seasonal, kappa_t, vol, config, start)
+    # Checked before the summary is allocated: an unstable model is named
+    # as such, whatever the ensemble's size.
+    blocks = day_blocks(model, config, start)
     n_paths, n_days = config.n_paths, config.n_days
     mean_path, sd, p05, p95 = np.zeros((4, n_days))   # sd stays 0 for one path
     buffer = np.empty(n_paths * config.block_days)
@@ -292,25 +299,26 @@ def _sorted_percentile(ordered: np.ndarray, q: float) -> np.ndarray:
 def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
                               vol: VolatilityModelParams | float, start_year: int,
                               n_years: int, seed: int) -> TemperatureSeries:
-    """One simulated path laid out on a leap-free calendar.
-
-    ``vol`` is as in :func:`simulate_paths`. Calendar months drive the
-    volatility switching; T(0) is the seasonal mean at day 0. The result
-    parses/fits like an observed series. The path is the ``mean_path`` of
-    a one-path :func:`simulate_paths`, so it shares that function's checks:
-    a path that overflows raises its InputError, and one that leaves the
-    sane temperature range raises one that blames the volatility.
+    """One simulated path of ``Model(seasonal, kappa_t, vol)`` on a
+    leap-free calendar; the one function that takes the model's parts one
+    by one. Calendar months drive the volatility switching; T(0) is the
+    seasonal mean at day 0. The result parses/fits like an observed
+    series. The path is the ``mean_path`` of a one-path
+    :func:`simulate_paths`, so it shares that function's checks: a path
+    that overflows raises its InputError, and one that leaves the sane
+    temperature range raises one that blames the volatility.
     """
     if n_years < 1:
         raise InputError("n_years must be >= 1")
     if start_year < 1 or start_year + n_years - 1 > 9999:
         raise InputError(f"years {start_year}..{start_year + n_years - 1} "
                          "outside the ISO date range 1..9999")
+    model = Model(seasonal, kappa_t, vol)
     start = dt.date(start_year, 1, 1)
     dates = leap_free_calendar(start, DAYS_PER_YEAR * n_years).dates
     config = SimulationConfig(n_paths=1, n_days=len(dates), master_seed=seed,
                               t0_temp=evaluate_seasonal_mean(seasonal, 0))
-    temps = simulate_paths(seasonal, kappa_t, vol, config, start).mean_path
+    temps = simulate_paths(model, config, start).mean_path
     try:
         return TemperatureSeries(dates=dates, temps=temps)
     except InputError as exc:   # a finite path can fail only the sane range

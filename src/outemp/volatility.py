@@ -5,7 +5,7 @@ Volatility is treated as constant within a calendar month and stochastic
 across months. Each month's sigma comes from the quadratic variation of
 daily temperature increments whose endpoints both lie in that month;
 cross-month increments belong to neither month, and the caller's month
-index (:func:`~outemp.series.month_index`) says which month a day is in.
+ids (:func:`~outemp.series.leap_free_calendar`) say which month a day is in.
 The month-to-month sigma series is then modeled as a mean-reverting
 process with level sigma_bar, volatility-of-volatility sigma_sigma and
 reversion rate kappa_sigma (all per unit month).

@@ -26,8 +26,8 @@ from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL, main
 from outemp.meanrev import estimating_function, transition_weights
 from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
                              fit_seasonal_mean, ols_fit, residuals)
-from outemp.series import TemperatureSeries, leap_free_days, month_index
-from outemp.simulate import (SimulationConfig, day_blocks, generate_synthetic_series,
+from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
+from outemp.simulate import (Model, SimulationConfig, day_blocks, generate_synthetic_series,
                              simulate_paths)
 from outemp.stats import anderson_darling_normal, fit_metrics, mape, r_squared, rmse
 from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
@@ -139,7 +139,8 @@ def test_criterion_04_estimating_equation_zero(recovery_fits):
     ok = True
     for series, report in recovery_fits:
         r = residuals(series, report.seasonal)
-        w = transition_weights(month_index(series.dates)[0], report.monthly_vols)
+        w = transition_weights(leap_free_calendar(series.dates[0], len(series)).month_id,
+                               report.monthly_vols)
         k = report.kappa.kappa_t
         scale = estimating_terms_scale(r, w, k)
         if abs(estimating_function(r, w, k)) > 1e-8 * scale:
@@ -156,7 +157,7 @@ def test_criterion_05_exact_decay_estimators():
     flat = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
     from outemp.meanrev import estimate_kappa
     from test_meanrev import constant_vols_for
-    k_t = estimate_kappa(residuals(s, flat), month_index(s.dates)[0],
+    k_t = estimate_kappa(residuals(s, flat), leap_free_calendar(s.dates[0], len(s)).month_id,
                          constant_vols_for(s)).kappa_t
     d = 0.5 * 0.372 ** np.arange(24)
     vols = MonthlyVolatilitySeries(entries=tuple(
@@ -172,7 +173,7 @@ def test_criterion_06_simulation_stationarity():
     flat = SeasonalMeanParams(26.0, 0.0, 0.0, 0.0, 0.0)
     cfg = SimulationConfig(n_paths=10_000, n_days=501, master_seed=606,
                            t0_temp=26.0)
-    ens = simulate_paths(flat, kappa, sigma, cfg, "2001-01-01")
+    ens = simulate_paths(Model(flat, kappa, sigma), cfg, "2001-01-01")
     target_var = sigma ** 2 / (1 - (1 - kappa) ** 2)
     var = float(ens.cross_path_sd[500] ** 2)
     sem = float(ens.cross_path_sd[500]) / math.sqrt(cfg.n_paths)
@@ -188,8 +189,7 @@ def test_criterion_07_mean_path_convergence(recovery_fits):
     t0 = evaluate_seasonal_mean(report.seasonal, 0) + d0
     cfg = SimulationConfig(n_paths=n_paths, n_days=n_days, master_seed=707,
                            t0_temp=t0)
-    ens = simulate_paths(report.seasonal, report.kappa.kappa_t, report.vol, cfg,
-                         report.meta.start)
+    ens = simulate_paths(report.model, cfg, report.meta.start)
     t = np.arange(n_days)
     expected = (evaluate_seasonal_mean(report.seasonal, t)
                 + d0 * np.exp(-report.kappa.kappa_t * t))
@@ -225,7 +225,7 @@ def test_criterion_09_metric_identities():
                                        DEFAULT_VOL, 2000, 6, seed=0)
     report = fit_full_model(series)
     t0 = evaluate_seasonal_mean(report.seasonal, 0)
-    ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, 0.0,
+    ensemble = simulate_paths(Model(report.seasonal, report.kappa.kappa_t, 0.0),
                               SimulationConfig(n_paths=2, n_days=len(series),
                                                master_seed=0, t0_temp=t0),
                               series.dates[0])
@@ -265,8 +265,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg = dict(n_days=60, master_seed=5, t0_temp=26.0)
 
     def path_matrix(n_paths):
-        blocks = day_blocks(rep.seasonal, rep.kappa.kappa_t, rep.vol,
-                            SimulationConfig(n_paths=n_paths, **cfg),
+        blocks = day_blocks(rep.model, SimulationConfig(n_paths=n_paths, **cfg),
                             rep.meta.start)
         return np.concatenate([block for _, block in blocks]).T
 

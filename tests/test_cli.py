@@ -20,7 +20,7 @@ from outemp.seasonal import evaluate_seasonal_mean
 from outemp.simulate import SimulationConfig
 from outemp import cli
 from outemp.cli import main
-from outemp.series import leap_free_days, month_index
+from outemp.series import leap_free_calendar
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "fit_4y_seed0.json"
 DELETE = object()
@@ -256,6 +256,38 @@ def test_bad_second_output_path_writes_nothing(small_synth, tmp_path, capsys, co
         assert not first.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("alias", ["same-path", "symlink", "symlink-first"])
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_two_outputs_naming_one_file_exit_2(small_synth, tmp_path, capsys, command, alias,
+                                            existing):
+    # The later write would replace the earlier one; both paths are
+    # refused before either is written, and only a file this run created
+    # is removed.
+    target, link = tmp_path / "target.out", tmp_path / "link.out"
+    if existing:
+        target.write_bytes(b"an earlier run\n")
+    first = second = str(target)
+    if alias != "same-path":
+        link.symlink_to(target)
+        first, second = (str(link), first) if alias == "symlink-first" else (first, str(link))
+    if command == "fit":
+        argv = ["fit", "--input", str(small_synth), "--out", first, "--vols-csv", second]
+    else:
+        argv = ["simulate", "--report", str(GOLDEN_REPORT), "--paths", "3", "--days", "5",
+                "--out", first, "--full-paths", second]
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: output paths {first} and {second} are one file"]
+    if existing:
+        assert target.read_bytes() == b"an earlier run\n"
+    else:
+        assert not target.exists()
+    assert link.is_symlink() == (alias != "same-path")
+
+
 def test_failed_write_removes_the_files_it_created(tmp_path, capsys, monkeypatch):
     write = cli._write_day_rows
     def disk_full_on_paths(path, columns, blocks):
@@ -327,8 +359,7 @@ class TestSimulate:
             n_paths=60, n_days=800, master_seed=0,
             t0_temp=evaluate_seasonal_mean(report.seasonal, 0))
         expected = np.concatenate([block for _, block in simulate.day_blocks(
-            report.seasonal, report.kappa.kappa_t, report.vol, config,
-            report.meta.start)])
+            report.model, config, report.meta.start)])
         header, *lines = matrix.read_text().splitlines()
         assert header == "day," + ",".join(f"path_{p}" for p in range(60))
         rows = [line.split(",") for line in lines]
@@ -340,7 +371,7 @@ class TestSimulate:
         # sigma, normals buffer and generators and the one block being
         # written. Keeping the previous block too would add 2.92 MB.
         n_paths, n_days, start = 1000, 800, dt.date(2001, 1, 1)
-        n_months = int(month_index(leap_free_days(start, n_days))[0][-1]) + 1
+        n_months = int(leap_free_calendar(start, n_days).month_id[-1]) + 1
         bound = (n_months * n_paths * 8                        # sigma
                  + n_paths * simulate.BLOCK_DAYS * 8           # normals buffer
                  + n_paths * 1500                              # generators, ~930 B each
@@ -350,8 +381,8 @@ class TestSimulate:
         def blocks(n):
             cfg = SimulationConfig(n_paths=n, n_days=n_days, master_seed=0,
                                    t0_temp=20.0)
-            return simulate.day_blocks(cli.DEFAULT_SEASONAL, cli.DEFAULT_KAPPA_T,
-                                       cli.DEFAULT_VOL, cfg, start)
+            return simulate.day_blocks(simulate.Model(cli.DEFAULT_SEASONAL, cli.DEFAULT_KAPPA_T,
+                                                      cli.DEFAULT_VOL), cfg, start)
         # numpy's one-time set-up on its first generators is not the writer's.
         cli._write_day_rows(str(tmp_path / "warm.csv"), "path_0,path_1", blocks(2))
         tracemalloc.start()

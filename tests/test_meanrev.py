@@ -7,7 +7,7 @@ import pytest
 from outemp import EstimationError
 from outemp.meanrev import estimate_kappa, estimating_function
 from outemp.seasonal import SeasonalMeanParams, residuals
-from outemp.series import TemperatureSeries, leap_free_days, month_index
+from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
 FLAT = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -27,7 +27,8 @@ def series_from_temps(temps, start=dt.date(2001, 1, 1)):
 
 def kappa_for(series, seasonal, vols):
     """estimate_kappa on the residuals and month index of ``series``."""
-    return estimate_kappa(residuals(series, seasonal), month_index(series.dates)[0], vols)
+    month_id = leap_free_calendar(series.dates[0], len(series)).month_id
+    return estimate_kappa(residuals(series, seasonal), month_id, vols)
 
 
 def constant_vols_for(series, sigma=1.0):
@@ -107,10 +108,11 @@ class TestEstimateKappa:
             dev[j] = 0.83 * dev[j - 1] + 0.9 * rng.normal()
         s0 = series_from_temps(base + dev)
         s1 = series_from_temps(base + dev + 4.0)
+        calendar = leap_free_calendar(s0.dates[0], len(s0))   # s1's too
         k0 = kappa_for(s0, fit_seasonal_mean(s0), monthly_quadratic_variation(
-            s0.temps, *month_index(s0.dates))).kappa_t
+            s0.temps, calendar.month_id, calendar.months)).kappa_t
         k1 = kappa_for(s1, fit_seasonal_mean(s1), monthly_quadratic_variation(
-            s1.temps, *month_index(s1.dates))).kappa_t
+            s1.temps, calendar.month_id, calendar.months)).kappa_t
         assert k0 == pytest.approx(k1, rel=1e-9)
 
     def test_daily_adjustment_fraction(self):

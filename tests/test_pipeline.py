@@ -104,8 +104,7 @@ class TestEvaluateModel:
             self, synthetic_series, synthetic_report):
         series, report = synthetic_series, synthetic_report
         config = SimulationConfig(200, len(series), 3, float(series.temps[0]))
-        ensemble = simulate_paths(report.seasonal, report.kappa.kappa_t, report.vol,
-                                  config, series.dates[0])
+        ensemble = simulate_paths(report.model, config, series.dates[0])
         assert evaluate_model(series, report, 200, 3) == fit_metrics(
             series.temps, ensemble.mean_path)
 

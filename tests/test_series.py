@@ -12,7 +12,7 @@ from outemp import InputError, parse_csv, strip_leap_days
 from outemp import series as series_module
 from outemp.seasonal import design_matrix
 from outemp.series import (TemperatureSeries, _civil, is_leap_day, leap_free_days,
-                           month_index, serialize_csv)
+                           leap_free_calendar, serialize_csv)
 
 
 def make_csv(rows, header="date,t_avg_c"):
@@ -396,9 +396,10 @@ class TestLeapFreeCalendar:
                 expected.append(d)
             d += dt.timedelta(days=1)
         assert leap_free_days(start, n).tolist() == expected
-        month_id, months = month_index(np.array(expected, "datetime64[D]"))
+        months = list(dict.fromkeys((d.year, d.month) for d in expected))
         calendar = series_module.leap_free_calendar(start, n)
-        assert np.array_equal(calendar.month_id, month_id)
+        assert calendar.month_id.tolist() == [months.index((d.year, d.month))
+                                              for d in expected]
         assert list(calendar.months) == months
 
     def test_strip_returns_a_leap_free_series_itself(self):
@@ -429,9 +430,9 @@ def test_serialize_rejects_dates_outside_years_1_to_9999(date):
 
 def test_month_index():
     s = parse_csv(make_csv(daily_rows(dt.date(2001, 1, 25), 12)))
-    month_id, months = month_index(s.dates)
-    assert months == [(2001, 1), (2001, 2)]
-    assert month_id.tolist() == [0] * 7 + [1] * 5
+    calendar = leap_free_calendar(s.dates[0], len(s.dates))
+    assert calendar.months == ((2001, 1), (2001, 2))
+    assert calendar.month_id.tolist() == [0] * 7 + [1] * 5
 
 
 def test_series_immutable():

@@ -8,8 +8,8 @@ import pytest
 from outemp import InputError, parse_csv
 from outemp import simulate
 from outemp.seasonal import SeasonalMeanParams, evaluate_seasonal_mean
-from outemp.series import leap_free_days, month_index, serialize_csv
-from outemp.simulate import (VOL_FLOOR, SimulationConfig, _vol_recursion, day_blocks,
+from outemp.series import leap_free_calendar, leap_free_days, serialize_csv
+from outemp.simulate import (VOL_FLOOR, Model, SimulationConfig, _vol_recursion, day_blocks,
                              generate_synthetic_series, simulate_paths)
 from outemp.volatility import VolatilityModelParams
 
@@ -78,8 +78,8 @@ def path_matrix(*args):
 class TestSimulatePaths:
     def test_zero_noise_on_mean_tracks_mean_function(self):
         cfg = config()
-        ens = simulate_paths(SEASONAL, 0.1872, 0.0, cfg, START)
-        paths = path_matrix(SEASONAL, 0.1872, 0.0, cfg, START)
+        ens = simulate_paths(Model(SEASONAL, 0.1872, 0.0), cfg, START)
+        paths = path_matrix(Model(SEASONAL, 0.1872, 0.0), cfg, START)
         expected = evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
         assert np.allclose(paths, expected[np.newaxis, :], atol=1e-10)
         assert np.allclose(ens.mean_path, expected, atol=1e-10)
@@ -87,26 +87,26 @@ class TestSimulatePaths:
     def test_zero_noise_deviation_decay(self):
         d0 = 3.0
         cfg = config(n_paths=1, t0_temp=evaluate_seasonal_mean(SEASONAL, 0) + d0)
-        paths = path_matrix(SEASONAL, 0.1872, 0.0, cfg, START)
+        paths = path_matrix(Model(SEASONAL, 0.1872, 0.0), cfg, START)
         expected_dev = d0 * (1 - 0.1872) ** np.arange(cfg.n_days)
         dev = paths[0] - evaluate_seasonal_mean(SEASONAL, np.arange(cfg.n_days))
         assert np.allclose(dev, expected_dev, atol=1e-9)
 
     def test_bit_identical_reproducibility(self):
         cfg = config(n_paths=8, n_days=200, master_seed=42)
-        a = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
-        b = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
+        a = path_matrix(Model(SEASONAL, 0.1872, VOL), cfg, START)
+        b = path_matrix(Model(SEASONAL, 0.1872, VOL), cfg, START)
         assert np.array_equal(a, b)
 
     def test_paths_use_per_path_substreams(self):
         # Path p's trajectory must not depend on how many paths run.
-        big = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=5), START)
-        small = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=2), START)
+        big = path_matrix(Model(SEASONAL, 0.1872, VOL), config(n_paths=5), START)
+        small = path_matrix(Model(SEASONAL, 0.1872, VOL), config(n_paths=2), START)
         assert np.array_equal(big[:2], small)
 
     def test_mean_path_is_exact_column_mean(self):
-        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=6), START)
-        paths = path_matrix(SEASONAL, 0.1872, VOL, config(n_paths=6), START)
+        ens = simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=6), START)
+        paths = path_matrix(Model(SEASONAL, 0.1872, VOL), config(n_paths=6), START)
         assert np.array_equal(ens.mean_path, paths.mean(axis=0))
 
     # 800 days: one block for one path, and two full blocks and a partial
@@ -118,8 +118,8 @@ class TestSimulatePaths:
         for n, d in [(1, 800), (2, 800), (3, 800), (20, 800), (1000, 400)]])
     def test_summary_equals_numpy_over_path_matrix(self, n_paths, n_days):
         cfg = config(n_paths=n_paths, n_days=n_days, master_seed=9)
-        ens = simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
-        paths = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
+        ens = simulate_paths(Model(SEASONAL, 0.1872, VOL), cfg, START)
+        paths = path_matrix(Model(SEASONAL, 0.1872, VOL), cfg, START)
         assert np.array_equal(ens.p05, np.percentile(paths, 5, axis=0))
         assert np.array_equal(ens.p95, np.percentile(paths, 95, axis=0))
         assert np.array_equal(ens.mean_path, paths.mean(axis=0))
@@ -128,30 +128,30 @@ class TestSimulatePaths:
 
     def test_blocks_are_contiguous_day_rows(self):
         cfg = config(n_paths=3, n_days=800)
-        blocks = list(day_blocks(SEASONAL, 0.1872, VOL, cfg, START))
+        blocks = list(day_blocks(Model(SEASONAL, 0.1872, VOL), cfg, START))
         assert [first for first, _ in blocks] == [0, 365, 730]
         assert [b.shape for _, b in blocks] == [(365, 3), (365, 3), (70, 3)]
         assert all(b.flags.c_contiguous for _, b in blocks)
 
     def test_one_path_is_one_block(self):
         cfg = config(n_paths=1, n_days=800)
-        blocks = list(day_blocks(SEASONAL, 0.1872, VOL, cfg, START))
+        blocks = list(day_blocks(Model(SEASONAL, 0.1872, VOL), cfg, START))
         assert [(first, b.shape) for first, b in blocks] == [(0, (800, 1))]
         assert blocks[0][1].flags.c_contiguous
 
     def test_block_length_does_not_change_paths(self, monkeypatch):
         # Drawing each path's normals in chunks replays its one-shot stream.
         cfg = config(n_paths=4, n_days=400)
-        whole = path_matrix(SEASONAL, 0.1872, VOL, cfg, START)
+        whole = path_matrix(Model(SEASONAL, 0.1872, VOL), cfg, START)
         monkeypatch.setattr(simulate, "BLOCK_DAYS", 7)
-        assert np.array_equal(path_matrix(SEASONAL, 0.1872, VOL, cfg, START), whole)
+        assert np.array_equal(path_matrix(Model(SEASONAL, 0.1872, VOL), cfg, START), whole)
 
     def test_memory_bounded_by_paths_not_days(self):
         # A (500, 20000) matrix of paths alone would take 80 MB.
         cfg = config(n_paths=500, n_days=20_000)
         tracemalloc.start()
         try:
-            simulate_paths(SEASONAL, 0.1872, VOL, cfg, START)
+            simulate_paths(Model(SEASONAL, 0.1872, VOL), cfg, START)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -162,16 +162,17 @@ class TestSimulatePaths:
         # buffers: the normals, the rows being yielded and the summary's
         # path-major copy. A fourth would add 2.92 MB and break the bound.
         n_paths, n_days = 1000, 800
-        n_months = int(month_index(leap_free_days(START, n_days))[0][-1]) + 1
+        n_months = int(leap_free_calendar(START, n_days).month_id[-1]) + 1
         bound = (n_months * n_paths * 8                        # sigma
                  + n_paths * 1500                              # generators, ~930 B each
                  + 3 * n_paths * simulate.BLOCK_DAYS * 8       # block buffers
                  + 500_000)                                    # per-day arrays, temporaries
         # numpy's one-time set-up on its first generators is not the kernel's.
-        simulate_paths(SEASONAL, 0.1872, VOL, config(n_days=1), START)
+        simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_days=1), START)
         tracemalloc.start()
         try:
-            simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=n_paths, n_days=n_days), START)
+            simulate_paths(Model(SEASONAL, 0.1872, VOL),
+                           config(n_paths=n_paths, n_days=n_days), START)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,7 +186,7 @@ class TestSimulatePaths:
         # One path steps Python floats, three step numpy rows.
         def stacked(n_paths):
             cfg = config(n_paths=n_paths, n_days=n_days, master_seed=5)
-            return path_matrix(SEASONAL, 0.1872, vol, cfg, start)
+            return path_matrix(Model(SEASONAL, 0.1872, vol), cfg, start)
         assert np.array_equal(stacked(1)[0], stacked(3)[0])
 
     @pytest.mark.parametrize("vol", [VOL, 0.0, 1.3], ids=["stochastic", "0.0", "1.3"])
@@ -193,16 +194,16 @@ class TestSimulatePaths:
         series = generate_synthetic_series(SEASONAL, 0.1872, vol, START.year, 2, seed=5)
         one, five = (config(n_paths=n, n_days=730, master_seed=5) for n in (1, 5))
         assert np.array_equal(series.temps,
-                              simulate_paths(SEASONAL, 0.1872, vol, one, START).mean_path)
+                              simulate_paths(Model(SEASONAL, 0.1872, vol), one, START).mean_path)
         assert np.array_equal(series.temps,
-                              path_matrix(SEASONAL, 0.1872, vol, five, START)[0])
+                              path_matrix(Model(SEASONAL, 0.1872, vol), five, START)[0])
 
     def test_one_path_equals_first_column_at_vol_floor(self):
         # With sigma_sigma = 2 about a third of the months hit VOL_FLOOR,
         # where one path floors with max and three with np.maximum.
         wild = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=2.0, kappa_sigma=0.989)
         n_days = 1100
-        n_months = int(month_index(leap_free_days(START, n_days))[0][-1]) + 1
+        n_months = int(leap_free_calendar(START, n_days).month_id[-1]) + 1
         sigma = np.empty((n_months, 3))
         sigma[0] = wild.sigma_bar
         for p in range(3):
@@ -213,13 +214,13 @@ class TestSimulatePaths:
 
         def stacked(n_paths):
             cfg = config(n_paths=n_paths, n_days=n_days, master_seed=5)
-            return path_matrix(SEASONAL, 0.1872, wild, cfg, START)
+            return path_matrix(Model(SEASONAL, 0.1872, wild), cfg, START)
         assert np.array_equal(stacked(1)[0], stacked(3)[0])
 
         # Both layers equal, bit for bit, a loop over each path with the
         # model's formulas: the month step floored at VOL_FLOOR, then the
         # day step with that month's sigma.
-        month_idx, _ = month_index(leap_free_days(START, n_days))
+        month_idx = leap_free_calendar(START, n_days).month_id
         m = evaluate_seasonal_mean(SEASONAL, np.arange(n_days))
         dm = np.diff(m)
         ref_sigma = np.empty((n_months, 3))
@@ -248,20 +249,20 @@ class TestSimulatePaths:
 
     def test_invalid_kappa(self):
         with pytest.raises(InputError):
-            simulate_paths(SEASONAL, 0.0, VOL, config(), START)
+            simulate_paths(Model(SEASONAL, 0.0, VOL), config(), START)
 
     def test_kappa_outside_euler_stable_range(self):
         with pytest.raises(InputError, match="kappa_t 2.0 is outside 0 < kappa_t < 2"):
-            simulate_paths(SEASONAL, 2.0, VOL, config(), START)
+            simulate_paths(Model(SEASONAL, 2.0, VOL), config(), START)
         with pytest.raises(InputError, match="kappa_t"):
             generate_synthetic_series(SEASONAL, 2.5, VOL, 2000, 1, seed=0)
-        ens = simulate_paths(SEASONAL, 1.99, VOL, config(), START)
+        ens = simulate_paths(Model(SEASONAL, 1.99, VOL), config(), START)
         assert np.isfinite(ens.mean_path).all()
 
     @pytest.mark.parametrize("kappa", [float("nan"), -0.1])
     def test_kappa_outside_stable_range_refused_before_simulating(self, kappa):
         with pytest.raises(InputError, match="kappa_t"):
-            simulate_paths(SEASONAL, kappa, VOL, config(), START)
+            simulate_paths(Model(SEASONAL, kappa, VOL), config(), START)
 
     @pytest.mark.parametrize("override", [float("nan"), float("inf"), -1.0])
     def test_override_must_be_finite_and_non_negative(self, override, monkeypatch):
@@ -270,23 +271,23 @@ class TestSimulatePaths:
         value = re.escape(repr(override))
         with pytest.raises(InputError, match=f"^the constant volatility {value} "
                                              "must be finite and non-negative$"):
-            simulate_paths(SEASONAL, 0.1872, override, config(), START)
+            simulate_paths(Model(SEASONAL, 0.1872, override), config(), START)
 
     def test_single_path_has_zero_sd(self):
-        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(n_paths=1), START)
+        ens = simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=1), START)
         assert np.array_equal(ens.cross_path_sd, np.zeros(100))
 
 
 class TestEnsembleSummary:
     def test_identical_paths_zero_sd(self):
-        ens = simulate_paths(SEASONAL, 0.1872, 0.0, config(), START)
+        ens = simulate_paths(Model(SEASONAL, 0.1872, 0.0), config(), START)
         assert np.all(ens.cross_path_sd == 0.0)
         assert np.array_equal(ens.p05, ens.mean_path)
         assert np.array_equal(ens.p95, ens.mean_path)
 
     def test_hand_computation(self):
-        ens = simulate_paths(SEASONAL, 0.1872, VOL, config(), START)
-        lo, hi = np.sort(path_matrix(SEASONAL, 0.1872, VOL, config(), START), axis=0)
+        ens = simulate_paths(Model(SEASONAL, 0.1872, VOL), config(), START)
+        lo, hi = np.sort(path_matrix(Model(SEASONAL, 0.1872, VOL), config(), START), axis=0)
         assert np.allclose(ens.mean_path, (lo + hi) / 2)
         assert np.allclose(ens.cross_path_sd, (hi - lo) / np.sqrt(2.0))
         assert np.allclose(ens.p05, lo + 0.05 * (hi - lo))
@@ -302,7 +303,7 @@ class TestSyntheticSeries:
         assert not any(d.month == 2 and d.day == 29 for d in dates.tolist())
 
     def test_month_lengths_feb_always_28(self):
-        month_id, _ = month_index(leap_free_days(dt.date(2000, 1, 1), 365))
+        month_id = leap_free_calendar(dt.date(2000, 1, 1), 365).month_id
         lengths = np.bincount(month_id).tolist()
         assert lengths == [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 
@@ -325,7 +326,7 @@ class TestSyntheticSeries:
         # the unit-step recursion is sigma^2 / (1 - (1-kappa)^2).
         kappa, sigma = 0.1872, 0.877
         cfg = SimulationConfig(n_paths=4000, n_days=301, master_seed=17, t0_temp=26.0)
-        ens = simulate_paths(FLAT, kappa, sigma, cfg, START)
+        ens = simulate_paths(Model(FLAT, kappa, sigma), cfg, START)
         target = sigma ** 2 / (1 - (1 - kappa) ** 2)
         var = ens.cross_path_sd[-1] ** 2
         assert var == pytest.approx(target, rel=0.08)

@@ -10,7 +10,7 @@ from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
                                VolatilityModelParams, estimate_kappa_sigma,
                                estimate_sigma_bar, estimate_sigma_sigma,
                                monthly_quadratic_variation)
-from outemp.series import TemperatureSeries, leap_free_days, month_index
+from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
 
 
 def series_from_temps(temps, start):
@@ -21,7 +21,8 @@ def series_from_temps(temps, start):
 def qv(series):
     """monthly_quadratic_variation on the temperatures and month index of
     ``series``."""
-    return monthly_quadratic_variation(series.temps, *month_index(series.dates))
+    calendar = leap_free_calendar(series.dates[0], len(series))
+    return monthly_quadratic_variation(series.temps, calendar.month_id, calendar.months)
 
 
 def vols_from_sigmas(sigmas):
