@@ -16,33 +16,33 @@ import sys
 import numpy as np
 
 from outemp import EstimationError, fit_full_model
-from outemp.simulate import generate_synthetic_series
+from outemp.simulate import Model, generate_synthetic_series
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
 
 
-def parameters(seasonal, kappa_t, vol) -> dict[str, float]:
+def parameters(model: Model) -> dict[str, float]:
     """The recovered parameters by name: the seasonal mean's fields but
     its R^2, then kappa_t, then the volatility process's fields."""
-    fields = dataclasses.asdict(seasonal)
+    fields = dataclasses.asdict(model.seasonal)
     del fields["r_squared_fit"]
-    return {**fields, "kappa_t": kappa_t, **dataclasses.asdict(vol)}
+    return {**fields, "kappa_t": model.kappa_t, **dataclasses.asdict(model.vol)}
 
 
 def main(n_reps: int = 100) -> None:
-    truth = parameters(DEFAULT_SEASONAL, DEFAULT_KAPPA_T, DEFAULT_VOL)
+    model = Model(DEFAULT_SEASONAL, DEFAULT_KAPPA_T, DEFAULT_VOL)
+    truth = parameters(model)
     rows = {k: [] for k in truth}
     failures = {"total": 0}
     for seed in range(n_reps):
-        series = generate_synthetic_series(
-            DEFAULT_SEASONAL, DEFAULT_KAPPA_T, DEFAULT_VOL,
-            start_year=2000, n_years=24, seed=seed)
+        series = generate_synthetic_series(model.seasonal, model.kappa_t, model.vol,
+                                           start_year=2000, n_years=24, seed=seed)
         try:
             rep = fit_full_model(series)
         except EstimationError as exc:
             failures["total"] += 1
             failures[str(exc.stage)] = failures.get(str(exc.stage), 0) + 1
             continue
-        for key, value in parameters(rep.seasonal, rep.kappa.kappa_t, rep.vol).items():
+        for key, value in parameters(rep.model).items():
             rows[key].append(value)
 
     print(f"replicates: {n_reps}, failures: {failures}")

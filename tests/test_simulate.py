@@ -1,12 +1,16 @@
 import datetime as dt
+import errno
+import os
 import re
+import signal
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from outemp import InputError, parse_csv
-from outemp import simulate
+from outemp import cli, simulate
 from outemp.seasonal import SeasonalMeanParams, evaluate_seasonal_mean
 from outemp.series import leap_free_calendar, leap_free_days, serialize_csv
 from outemp.simulate import (VOL_FLOOR, Model, SimulationConfig, _vol_recursion, day_blocks,
@@ -67,6 +71,12 @@ def config(**kw):
 def test_config_refuses_an_ensemble_beyond_any_array(n_paths, n_days):
     with pytest.raises(MemoryError):
         config(n_paths=n_paths, n_days=n_days)
+
+
+def normals_slot_bytes(cfg):
+    """The size of day_blocks' normals slot, shared memory that
+    tracemalloc does not see."""
+    return cfg.n_paths * cfg.block_days * 8
 
 
 def path_matrix(*args):
@@ -152,15 +162,16 @@ class TestSimulatePaths:
         tracemalloc.start()
         try:
             simulate_paths(Model(SEASONAL, 0.1872, VOL), cfg, START)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] + normals_slot_bytes(cfg)
         finally:
             tracemalloc.stop()
         assert peak < 40e6
 
     def test_three_block_buffers(self):
         # The kernel holds sigma, the generators and three block-sized
-        # buffers: the normals, the rows being yielded and the summary's
-        # path-major copy. A fourth would add 2.92 MB and break the bound.
+        # buffers: the normals slot (shared memory, added by hand), the
+        # rows being yielded and the summary's path-major copy. A fourth
+        # would add 2.92 MB and break the bound.
         n_paths, n_days = 1000, 800
         n_months = int(leap_free_calendar(START, n_days).month_id[-1]) + 1
         bound = (n_months * n_paths * 8                        # sigma
@@ -171,9 +182,9 @@ class TestSimulatePaths:
         simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_days=1), START)
         tracemalloc.start()
         try:
-            simulate_paths(Model(SEASONAL, 0.1872, VOL),
-                           config(n_paths=n_paths, n_days=n_days), START)
-            peak = tracemalloc.get_traced_memory()[1]
+            cfg = config(n_paths=n_paths, n_days=n_days)
+            simulate_paths(Model(SEASONAL, 0.1872, VOL), cfg, START)
+            peak = tracemalloc.get_traced_memory()[1] + normals_slot_bytes(cfg)
         finally:
             tracemalloc.stop()
         assert peak < bound
@@ -330,3 +341,171 @@ class TestSyntheticSeries:
         target = sigma ** 2 / (1 - (1 - kappa) ** 2)
         var = ens.cross_path_sd[-1] ** 2
         assert var == pytest.approx(target, rel=0.08)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the simulator forks, on a system granted a
+    second CPU."""
+    if not hasattr(os, "fork"):
+        pytest.skip("this system cannot fork")
+    fork, pids = os.fork, []
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(simulate, "_second_cpu", lambda: True)
+    monkeypatch.setattr(simulate.os, "fork", counted)
+    return pids
+
+
+def refuse_fork(monkeypatch):
+    def no_fork():
+        raise OSError("no fork here")
+    monkeypatch.setattr(simulate.os, "fork", no_fork)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """A hang fails the test instead of the run."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def drawer_dies_on_second_block(forks, monkeypatch):
+    parent, draw = os.getpid(), simulate._draw
+
+    def dying(rngs, slot, n_steps):
+        if os.getpid() != parent:
+            dying.calls += 1   # the child's own copy
+            if dying.calls == 2:
+                os._exit(1)
+        draw(rngs, slot, n_steps)
+    dying.calls = 0
+    monkeypatch.setattr(simulate, "_draw", dying)
+
+
+class TestForkedDrawer:
+    """An ensemble of two or more blocks draws its normals in a forked
+    child; any other, or one on a system that cannot fork, in process."""
+
+    # 2 x 366 ends in a one-day block, and 3 x 800 in 7-day blocks makes
+    # the child draw 114 of them.
+    @pytest.mark.parametrize("n_paths, n_days, block_days, n_forks", [
+        (2, 366, 365, 2), (5, 1100, 365, 2), (3, 800, 7, 2), (1, 800, 365, 0)],
+        ids=["2x366", "5x1100", "3x800-blocks-of-7", "1x800"])
+    def test_both_routes_give_the_same_bits(self, forks, monkeypatch, n_paths, n_days,
+                                            block_days, n_forks):
+        monkeypatch.setattr(simulate, "BLOCK_DAYS", block_days)
+        model = Model(SEASONAL, 0.1872, VOL)
+        cfg = config(n_paths=n_paths, n_days=n_days, master_seed=3)
+
+        def bits():
+            ens = simulate_paths(model, cfg, START)
+            return [a.tobytes() for a in (*vars(ens).values(), path_matrix(model, cfg, START))]
+        forked = bits()
+        assert len(forks) == n_forks   # simulate_paths, then the replay
+        refuse_fork(monkeypatch)
+        assert bits() == forked
+        assert len(forks) == n_forks
+
+    def test_no_fork_without_a_second_cpu(self, forks, monkeypatch):
+        monkeypatch.setattr(simulate, "_second_cpu", lambda: False)
+        simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
+        assert forks == []
+
+    def test_normal_return_reaps_the_drawer(self, forks):
+        simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_overflow_reaps_the_drawer(self, forks):
+        with pytest.raises(InputError, match="overflowed"):
+            simulate_paths(Model(SEASONAL, 0.1872, 1e308), config(n_paths=3, n_days=800), START)
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_summary_raising_mid_ensemble_reaps_the_drawer(self, forks, monkeypatch):
+        # The raised exception's traceback keeps simulate_paths' frame alive.
+        def fails_on_second_block(ordered, q):
+            if len(calls) == 2:
+                raise RuntimeError("summary failed")
+            calls.append(q)
+            return percentile(ordered, q)
+        calls, percentile = [], simulate._sorted_percentile
+        monkeypatch.setattr(simulate, "_sorted_percentile", fails_on_second_block)
+        with pytest.raises(RuntimeError) as raised:
+            simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
+        assert raised.traceback   # still held here
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_consumer_raising_in_the_block_loop_reaps_the_drawer(self, forks):
+        with pytest.raises(RuntimeError):
+            for first, _ in day_blocks(Model(SEASONAL, 0.1872, VOL),
+                                       config(n_paths=3, n_days=800), START):
+                if first:
+                    raise RuntimeError("consumer failed")
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_close_after_the_first_block_reaps_the_drawer(self, forks):
+        blocks = day_blocks(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
+        assert forks == []   # nothing forks before the first block is asked for
+        next(blocks)
+        assert len(forks) == 1
+        blocks.close()
+        assert_no_child()
+
+    def test_slot_beyond_memory_is_a_memory_error(self, monkeypatch):
+        # A shared mapping the system refuses raises OSError, not MemoryError.
+        def no_room(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        monkeypatch.setattr(simulate.mmap, "mmap", no_room)
+        with pytest.raises(MemoryError):
+            day_blocks(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
+
+    def test_ignored_sigchld(self, forks):
+        # The system reaps a drawer that has ended before the iterator can.
+        model, cfg = Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800)
+        expected = simulate_paths(model, cfg, START).mean_path
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            for _ in range(5):
+                assert np.array_equal(simulate_paths(model, cfg, START).mean_path, expected)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 6
+        assert_no_child()
+
+    def test_drawer_ending_early_raises(self, drawer_dies_on_second_block, deadline):
+        with pytest.raises(ChildProcessError, match="ended early"):
+            simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=2000), START)
+        assert_no_child()
+
+    def test_drawer_ending_early_exits_the_cli_with_one_line(
+            self, drawer_dies_on_second_block, deadline, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        report = Path(__file__).parent / "data" / "fit_4y_seed0.json"
+        rc = cli.main(["simulate", "--report", str(report), "--paths", "3",
+                       "--days", "2000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "ended early" in captured.err
+        assert not out.exists()
+        assert_no_child()
