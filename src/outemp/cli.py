@@ -2,7 +2,7 @@
 
 Subcommands: describe, fit, simulate, evaluate, synth. All randomized
 commands take an explicit --seed (default 0, never wall-clock). Exit
-codes: 0 success, 2 input error, 3 estimation failure.
+codes: 0 success, 1 error, 2 input error, 3 estimation failure.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def run_describe(args) -> int:
             lines += _describe_lines(name, summary, normality)
         payload[key] = None if summary is None else vars(summary)
         payload[f"{key}_normality"] = _normality_dict(normality)
-    print("\n".join(lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _output_files(args.out), open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
+    print("\n".join(lines))
     return 0
 
 
@@ -214,7 +214,7 @@ def run_synth(args) -> int:
     series = simulate.generate_synthetic_series(
         seasonal, kappa_t, vol, start_year=args.start_year,
         n_years=args.years, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output_files(args.out), open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_csv(series))
     return 0
 
@@ -268,6 +268,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ChildProcessError as exc:   # an OSError, but not the input's
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -25,19 +25,18 @@ BLOCK_DAYS days in turn (drawing a stream in chunks gives the same
 numbers as drawing it at once) and steps all paths one contiguous day
 row at a time. The draws are about half of the kernel's time and take
 the GIL a microsecond at a time, so threads cannot overlap them with the
-stepping. Two or more paths in two or more blocks, on a machine with a
-second CPU, draw every block after the first in one forked child, which
-fills a shared normals slot with block b + 1 while the parent steps and
-summarizes block b (``simulate`` 1000 x 8760: 0.54 -> 0.46 s wall, a
-2-vCPU Xeon VM). Its copies of the generators continue the parent's
-streams, so the numbers are those the in-process draws give; every
-other ensemble draws in process. Memory is ``sigma`` (n_paths *
-n_months floats), the (n_paths, BLOCK_DAYS) normals slot, which is an
-anonymous shared mapping for a forked child to write and which
-tracemalloc does not see, and the rows of the block being yielded,
-whatever the number of days; :func:`simulate_paths` adds one more
-block-sized summary buffer. A consumer that needs the whole path matrix
-replays the blocks, which the seeding contract makes exact.
+stepping. Two or more blocks, on a machine with a second CPU, draw
+every block in one forked child, which fills a shared normals slot with
+block b + 1 while the parent steps and summarizes block b (``simulate``
+1000 x 8760: 0.54 -> 0.46 s wall, a 2-vCPU Xeon VM). Its copies of the
+generators continue the parent's streams, so the numbers are those the
+in-process draws give; every other ensemble draws in process. Memory is
+``sigma`` (n_paths * n_months floats), the (n_paths, BLOCK_DAYS) normals
+slot (a shared mapping, which tracemalloc does not see, where a child
+draws) and the rows of the block being yielded, whatever the number of
+days; :func:`simulate_paths` adds one more block-sized summary buffer. A
+consumer that needs the whole path matrix replays the blocks, which the
+seeding contract makes exact.
 
 A one-path ensemble (every synthetic series) is one block of all its
 days. It steps Python floats instead of 1-element rows, in both layers,
@@ -196,29 +195,33 @@ def _second_cpu() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _fork_drawer(rngs: list, slot: np.ndarray, steps: list[int]):
+@contextlib.contextmanager
+def _forked_drawer(rngs: list, slot: np.ndarray, steps: list[int]):
     """Fork a child that draws the normals of each of ``steps`` in turn
-    into ``slot`` from its copies of ``rngs``, or return None if the
-    system cannot fork. The child writes a byte to ``ready`` when the slot
-    holds a block and draws the next once a byte arrives on ``free``; it
-    exits when the steps run out or ``free`` reaches EOF. Returns ``(pid,
-    ready, free)``, the parent's ends of the two pipes."""
-    pipes = []
-    try:
-        pipes = [*os.pipe(), *os.pipe()]
-        ready_r, ready_w, free_r, free_w = pipes
+    into ``slot`` from its copies of ``rngs``, and yield ``(ready, free)``,
+    the parent's ends of two pipes, or None if the system cannot fork.
+    The child writes a byte to ``ready`` when the slot holds a block and
+    draws the next once a byte arrives on ``free``, until the steps run
+    out or ``free`` reaches EOF. Each side closes only the other's write
+    end, so the other's exit shows as EOF and a write to it is never a
+    broken pipe. On exit the child is killed and reaped."""
+    pipes, pid = [], None
+    with contextlib.suppress(OSError):   # no pipe or no fork: draw in process
+        pipes += os.pipe()
+        pipes += os.pipe()
         pid = os.fork()
-    except OSError:
+    if pid is None:
         for fd in pipes:
             os.close(fd)
-        return None
+        yield None
+        return
+    ready_r, ready_w, free_r, free_w = pipes
     if pid == 0:
         # Never return or unwind into the caller's frames, which could run
         # its clean-up (removing the parent's output files, say), and never
         # write to stdout or stderr.
         try:
             gc.disable()   # no collection runs a finalizer of the parent's
-            os.close(ready_r)
             os.close(free_w)
             for i, n_steps in enumerate(steps):
                 if i and not os.read(free_r, 1):
@@ -229,8 +232,16 @@ def _fork_drawer(rngs: list, slot: np.ndarray, steps: list[int]):
         finally:   # reached only by an exception
             os._exit(1)
     os.close(ready_w)
-    os.close(free_r)
-    return pid, ready_r, free_w
+    try:
+        yield ready_r, free_w
+    finally:
+        for fd in (ready_r, free_r, free_w):
+            os.close(fd)
+        # A drawer still running has nothing left to draw for. Under an
+        # ignored SIGCHLD the system has reaped one that ended.
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def day_blocks(model: Model, config: SimulationConfig, start):
@@ -245,14 +256,13 @@ def day_blocks(model: Model, config: SimulationConfig, start):
     with the same draws and operations for any number of paths, so one
     path equals column 0 of any larger ensemble with its seed bit for bit.
 
-    Two or more paths in two or more blocks, on a system that can fork
-    and with a second CPU, draw the daily normals of every block after
-    the first in a forked child: it fills the shared normals slot with
-    block b + 1 while the iterator steps block b and the consumer reads
-    it. The iterator's first step forks, and finishing, closing or
-    dropping it ends and reaps the child. A child that ends early raises
-    ChildProcessError. Every other ensemble draws in process through the
-    same :func:`_draw`, which gives the same numbers.
+    Two or more blocks, on a system that can fork and with a second CPU,
+    draw every block's daily normals in a forked child, which fills the
+    shared normals slot with block b + 1 while the iterator steps block b
+    and the consumer reads it. The iterator's first step forks; finishing,
+    closing or dropping it ends and reaps the child, and a child that ends
+    early raises ChildProcessError. Every other ensemble draws in process
+    through the same :func:`_draw`, which gives the same numbers.
     """
     if unstable := model.unstable():
         raise InputError(unstable)
@@ -266,14 +276,13 @@ def day_blocks(model: Model, config: SimulationConfig, start):
     firsts = range(0, n_days, block_days)
     stops = [min(first + block_days, n_days) for first in firsts]
     steps = [stop - 1 - max(first - 1, 0) for first, stop in zip(firsts, stops)]
-    # Two or more paths in two or more blocks are drawn by a forked child
-    # where the system allows, into a normals slot in shared memory.
-    shared = n_paths >= 2 and len(steps) >= 2
-    fork = shared and hasattr(os, "fork") and _second_cpu()
-    # Allocated before the generators, so that an ensemble too large for
-    # memory fails here rather than after creating n_paths of them.
+    # Two or more blocks (never one path) are drawn by a forked child where
+    # the system allows, into a normals slot in shared memory, allocated
+    # before the generators: an ensemble too large for memory fails here
+    # rather than after creating n_paths of them.
+    fork = len(steps) >= 2 and hasattr(os, "fork") and _second_cpu()
     sigma = np.empty((int(month_idx[-1]) + 1, n_paths))
-    if not shared:
+    if not fork:
         slot = np.empty((n_paths, block_days))
     else:
         try:
@@ -293,12 +302,11 @@ def day_blocks(model: Model, config: SimulationConfig, start):
 
     def blocks():
         last = config.t0_temp
-        drawer = None
-        try:
+        with _forked_drawer(rngs, slot, steps) if fork else contextlib.nullcontext() as drawer:
             for first, stop, n_steps in zip(firsts, stops, steps):
                 if drawer is None:
                     _draw(rngs, slot, n_steps)
-                elif not os.read(drawer[1], 1):
+                elif not os.read(drawer[0], 1):
                     raise ChildProcessError("the forked process drawing the "
                                             "simulation's normals ended early")
                 j0 = max(first - 1, 0)
@@ -309,26 +317,14 @@ def day_blocks(model: Model, config: SimulationConfig, start):
                 rows[1:] *= slot[:, :n_steps].T
                 # The slot is free again: the drawer fills it with the next
                 # block while this one steps.
-                if fork and first == 0:
-                    drawer = _fork_drawer(rngs, slot, steps[1:])
-                elif drawer is not None and stop < n_days:
-                    os.write(drawer[2], b"\0")
+                if drawer is not None and stop < n_days:
+                    os.write(drawer[1], b"\0")
                 _ou_steps(rows, np.diff(m[j0:stop]), m[j0:stop - 1], model.kappa_t, -math.inf)
                 last = rows[-1].copy()
                 yield first, rows[first - j0:]
                 # Without this reference a block the consumer has released is
                 # freed before the next one is allocated.
                 del rows
-        finally:
-            if drawer is not None:
-                pid, ready, free = drawer
-                os.close(ready)
-                os.close(free)
-                # A drawer still running has nothing left to draw for. Under
-                # an ignored SIGCHLD the system has reaped one that ended.
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
     return blocks()
 
 
@@ -345,7 +341,7 @@ def simulate_paths(model: Model, config: SimulationConfig, start) -> SimulatedEn
 
     The paths are summarized block by block as :func:`day_blocks` yields
     them and never held whole, so memory is ``sigma`` (n_paths *
-    n_months floats), the normals slot shared with the drawing child, the
+    n_months floats), the normals slot (shared with any forked drawer), the
     rows of one block and one path-major summary buffer of n_paths *
     ``config.block_days`` floats, plus four floats per day and the cached
     leap-free calendar's two integers per day, which stays for later

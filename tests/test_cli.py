@@ -306,6 +306,31 @@ def test_failed_write_removes_the_files_it_created(tmp_path, capsys, monkeypatch
     assert old.exists() and not new.exists() and not paths.exists()
 
 
+@pytest.mark.parametrize("command", ["describe", "synth"])
+def test_bad_output_path_exits_2_before_any_output(small_synth, tmp_path, capsys, command):
+    # describe opens --out before it prints its table.
+    out = str(tmp_path / "no_such_dir" / "x.out")
+    argv = ["describe", "--input", str(small_synth)] if command == "describe" else ["synth"]
+    assert run(*argv, "--out", out) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("input error:") and "no_such_dir" in err[0]
+
+
+def test_failed_synth_write_removes_the_file_it_created(tmp_path, capsys, monkeypatch):
+    def disk_full(series):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "serialize_csv", disk_full)
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("an earlier run\n")
+    for out in (old, new):
+        assert run("synth", "--years", "2", "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: [Errno 28] No space left on device"]
+    assert old.exists() and not new.exists()
+
+
 @pytest.mark.parametrize("argv", [["fit", "--out"], ["describe", "--out"]],
                          ids=["fit", "describe"])
 def test_precipitation_beyond_any_record_exit_2(small_synth, tmp_path, capsys, argv):
@@ -366,7 +391,7 @@ class TestSimulate:
         assert [int(row[0]) for row in rows] == list(range(800))
         assert np.array_equal(np.array([row[1:] for row in rows], dtype=float), expected)
 
-    def test_full_paths_writer_holds_one_block(self, tmp_path):
+    def test_full_paths_writer_holds_one_block(self, tmp_path, mapped):
         # Writing the blocks of 1000 paths x 800 days holds day_blocks'
         # sigma, normals buffer and generators and the one block being
         # written. Keeping the previous block too would add 2.92 MB.
@@ -385,11 +410,11 @@ class TestSimulate:
                                                       cli.DEFAULT_VOL), cfg, start)
         # numpy's one-time set-up on its first generators is not the writer's.
         cli._write_day_rows(str(tmp_path / "warm.csv"), "path_0,path_1", blocks(2))
+        mapped.clear()
         tracemalloc.start()
         try:
             cli._write_day_rows(str(tmp_path / "paths.csv"), "paths", blocks(n_paths))
-            # The normals buffer is shared memory, which tracemalloc does not see.
-            peak = tracemalloc.get_traced_memory()[1] + n_paths * simulate.BLOCK_DAYS * 8
+            peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
         finally:
             tracemalloc.stop()
         assert peak < bound

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outemp import InputError, parse_csv, strip_leap_days
+from outemp import InputError, fit_full_model, parse_csv, strip_leap_days
 from outemp import series as series_module
 from outemp.seasonal import design_matrix
 from outemp.series import (TemperatureSeries, _civil, is_leap_day, leap_free_days,
@@ -411,6 +411,16 @@ class TestLeapFreeCalendar:
         stripped = strip_leap_days(s)
         assert len(stripped) == 4 and not is_leap_day(stripped.dates).any()
         assert strip_leap_days(stripped) is stripped
+
+    def test_series_starting_on_feb_29(self):
+        # No leap-free calendar starts on a Feb 29, so the series is none.
+        s = parse_csv(make_csv(daily_rows(dt.date(2000, 2, 29), 400)))
+        back = parse_csv(serialize_csv(s))
+        assert np.array_equal(back.dates, s.dates) and np.array_equal(back.temps, s.temps)
+        stripped = strip_leap_days(s)
+        assert str(stripped.dates[0]) == "2000-03-01" and len(stripped) == 399
+        with pytest.raises(InputError, match="strip_leap_days"):
+            fit_full_model(s)
 
 
 def test_serialize_dates_match_numpy_text():

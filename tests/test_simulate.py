@@ -73,12 +73,6 @@ def test_config_refuses_an_ensemble_beyond_any_array(n_paths, n_days):
         config(n_paths=n_paths, n_days=n_days)
 
 
-def normals_slot_bytes(cfg):
-    """The size of day_blocks' normals slot, shared memory that
-    tracemalloc does not see."""
-    return cfg.n_paths * cfg.block_days * 8
-
-
 def path_matrix(*args):
     """The C-ordered (n_paths, n_days) path matrix stacked from day_blocks."""
     return np.ascontiguousarray(
@@ -156,20 +150,20 @@ class TestSimulatePaths:
         monkeypatch.setattr(simulate, "BLOCK_DAYS", 7)
         assert np.array_equal(path_matrix(Model(SEASONAL, 0.1872, VOL), cfg, START), whole)
 
-    def test_memory_bounded_by_paths_not_days(self):
+    def test_memory_bounded_by_paths_not_days(self, mapped):
         # A (500, 20000) matrix of paths alone would take 80 MB.
         cfg = config(n_paths=500, n_days=20_000)
         tracemalloc.start()
         try:
             simulate_paths(Model(SEASONAL, 0.1872, VOL), cfg, START)
-            peak = tracemalloc.get_traced_memory()[1] + normals_slot_bytes(cfg)
+            peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
         finally:
             tracemalloc.stop()
         assert peak < 40e6
 
-    def test_three_block_buffers(self):
+    def test_three_block_buffers(self, mapped):
         # The kernel holds sigma, the generators and three block-sized
-        # buffers: the normals slot (shared memory, added by hand), the
+        # buffers: the normals slot (added by hand when shared), the
         # rows being yielded and the summary's path-major copy. A fourth
         # would add 2.92 MB and break the bound.
         n_paths, n_days = 1000, 800
@@ -184,7 +178,7 @@ class TestSimulatePaths:
         try:
             cfg = config(n_paths=n_paths, n_days=n_days)
             simulate_paths(Model(SEASONAL, 0.1872, VOL), cfg, START)
-            peak = tracemalloc.get_traced_memory()[1] + normals_slot_bytes(cfg)
+            peak = tracemalloc.get_traced_memory()[1] + sum(mapped)
         finally:
             tracemalloc.stop()
         assert peak < bound
@@ -422,10 +416,23 @@ class TestForkedDrawer:
         assert bits() == forked
         assert len(forks) == n_forks
 
-    def test_no_fork_without_a_second_cpu(self, forks, monkeypatch):
+    def test_no_fork_without_a_second_cpu(self, forks, mapped, monkeypatch):
         monkeypatch.setattr(simulate, "_second_cpu", lambda: False)
         simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
         assert forks == []
+        assert mapped == []   # nor a shared slot
+
+    def test_forked_ensemble_draws_nothing_in_the_parent(self, forks, monkeypatch):
+        parent, draw, drawn = os.getpid(), simulate._draw, []
+
+        def counted(rngs, slot, n_steps):
+            if os.getpid() == parent:   # the child's appends stay in the child
+                drawn.append(n_steps)
+            draw(rngs, slot, n_steps)
+        monkeypatch.setattr(simulate, "_draw", counted)
+        simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
+        assert len(forks) == 1
+        assert drawn == []
 
     def test_normal_return_reaps_the_drawer(self, forks):
         simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800), START)
@@ -470,7 +477,7 @@ class TestForkedDrawer:
         blocks.close()
         assert_no_child()
 
-    def test_slot_beyond_memory_is_a_memory_error(self, monkeypatch):
+    def test_slot_beyond_memory_is_a_memory_error(self, forks, monkeypatch):
         # A shared mapping the system refuses raises OSError, not MemoryError.
         def no_room(*args):
             raise OSError(errno.ENOMEM, "Cannot allocate memory")
@@ -496,6 +503,28 @@ class TestForkedDrawer:
             simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=2000), START)
         assert_no_child()
 
+    def test_drawer_ending_while_the_slot_is_taken_raises(self, forks, monkeypatch,
+                                                           deadline):
+        # The drawer has written "ready" and ends before the slot is freed;
+        # the parent frees it only once the drawer is gone, and that write
+        # must not raise a broken pipe.
+        parent, read, write = os.getpid(), os.read, os.write
+
+        def dying(fd, n):
+            if os.getpid() != parent:
+                os._exit(1)
+            return read(fd, n)
+
+        def after_the_drawer(fd, data):
+            if os.getpid() == parent:
+                os.waitpid(forks[0], 0)
+            return write(fd, data)
+        monkeypatch.setattr(simulate.os, "read", dying)
+        monkeypatch.setattr(simulate.os, "write", after_the_drawer)
+        with pytest.raises(ChildProcessError, match="ended early"):
+            simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=2000), START)
+        assert_no_child()
+
     def test_drawer_ending_early_exits_the_cli_with_one_line(
             self, drawer_dies_on_second_block, deadline, tmp_path, capsys):
         out = tmp_path / "e.csv"
@@ -503,9 +532,9 @@ class TestForkedDrawer:
         rc = cli.main(["simulate", "--report", str(report), "--paths", "3",
                        "--days", "2000", "--out", str(out)])
         captured = capsys.readouterr()
-        assert rc != 0
+        assert rc == 1
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert "ended early" in captured.err
+        assert captured.err.startswith("error: ") and "ended early" in captured.err
         assert not out.exists()
         assert_no_child()
