@@ -44,17 +44,6 @@ def _load_series(path: str):
     return stripped, len(raw) - len(stripped)
 
 
-def _try_normality(values) -> stats.NormalityTestResult | None:
-    try:
-        return stats.anderson_darling_normal(values)
-    except InputError:
-        return None
-
-
-def _normality_dict(nt: stats.NormalityTestResult | None) -> dict | None:
-    return None if nt is None else {**vars(nt), "reject_at_5pct": nt.reject_at_5pct}
-
-
 def _describe_lines(name: str, d: stats.DescriptiveSummary,
                     nt: stats.NormalityTestResult | None) -> list[str]:
     fmt = lambda v: "undefined" if v is None else f"{v:.4g}"
@@ -79,10 +68,13 @@ def run_describe(args) -> int:
         summary = normality = None
         if values is not None:
             summary = stats.describe(values)
-            normality = _try_normality(values)
+            with contextlib.suppress(InputError):   # too few or constant values
+                normality = stats.anderson_darling_normal(values)
             lines += _describe_lines(name, summary, normality)
         payload[key] = None if summary is None else vars(summary)
-        payload[f"{key}_normality"] = _normality_dict(normality)
+        payload[f"{key}_normality"] = (None if normality is None else
+                                       {**vars(normality),
+                                        "reject_at_5pct": normality.reject_at_5pct})
     if args.out:
         with _output_files(args.out), open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

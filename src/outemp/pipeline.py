@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import EstimationError, InputError
 from .meanrev import MeanReversionEstimate, estimate_kappa
-from .seasonal import SeasonalMeanParams, fit_seasonal_mean, residuals
+from .seasonal import SeasonalMeanParams, fit_seasonal_mean
 from .series import TemperatureSeries, is_leap_day, on_leap_free_calendar, parse_iso_date
 from .simulate import Model, SimulationConfig, simulate_paths
 from .stats import (DescriptiveSummary, FitMetrics, NormalityTestResult,
@@ -69,12 +69,10 @@ def fit_full_model(series: TemperatureSeries,
     if calendar is None:
         raise InputError("series has a Feb 29 or a gap; fit a series that "
                          "strip_leap_days returns")
-    seasonal = fit_seasonal_mean(series)
-    resid = residuals(series, seasonal)
-    month_id, months = calendar.month_id, calendar.months
-    vols = monthly_quadratic_variation(series.temps, month_id, months)
+    seasonal, resid = fit_seasonal_mean(series.temps)
+    vols = monthly_quadratic_variation(series.temps, calendar.month_id, calendar.months)
     vol_params = fit_volatility_model(vols)
-    kappa = estimate_kappa(resid, month_id, vols)
+    kappa = estimate_kappa(resid, calendar.month_id, vols)
     return FitReport(
         seasonal=seasonal,
         kappa=kappa,

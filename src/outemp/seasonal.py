@@ -12,12 +12,12 @@ phase are recovered from the two harmonic coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EstimationError, InputError
-from .series import DAYS_PER_YEAR, TemperatureSeries
+from .series import DAYS_PER_YEAR
 from .stats import r_squared
 
 
@@ -43,14 +43,14 @@ def design_matrix(n: int) -> np.ndarray:
     return np.column_stack([np.ones(n), t, np.sin(phase), np.cos(phase)])
 
 
-def ols_fit(series: TemperatureSeries) -> tuple[float, float, float, float]:
+def ols_fit(temps: np.ndarray) -> tuple[float, float, float, float]:
     """The four coefficients of the least-squares solve via orthogonal
     factorization (QR/SVD, not the normal equations, for conditioning)."""
-    n = len(series)
+    n = len(temps)
     if n < 5:
         raise InputError("need at least 5 observations to fit 4 parameters")
     x = design_matrix(n)
-    beta, _, rank, _ = np.linalg.lstsq(x, series.temps, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(x, temps, rcond=None)
     if rank < 4:
         raise EstimationError("rank-deficient seasonal design matrix",
                               stage="seasonal")
@@ -74,18 +74,19 @@ def recover_amplitude_phase(beta2: float, beta3: float) -> tuple[float, float]:
     return c, psi
 
 
-def fit_seasonal_mean(series: TemperatureSeries) -> SeasonalMeanParams:
-    """Fit the seasonal mean function to a leap-stripped series."""
-    b0, b1, b2, b3 = ols_fit(series)
-    if np.ptp(series.temps) == 0.0:
+def fit_seasonal_mean(temps: np.ndarray) -> tuple[SeasonalMeanParams, np.ndarray]:
+    """Fit the seasonal mean function to the temperatures of a
+    leap-stripped series, indexed by day, and return it with the
+    residuals, observed minus m(t), from the one evaluation of m."""
+    b0, b1, b2, b3 = ols_fit(temps)
+    if np.ptp(temps) == 0.0:
         raise EstimationError(
             "observations are constant: no seasonal structure or volatility "
             "to fit (R^2 undefined)", stage="seasonal")
     c, psi = recover_amplitude_phase(b2, b3)
     params = SeasonalMeanParams(a_t=b0, b_t=b1, c_t=c, psi=psi, r_squared_fit=0.0)
-    fitted = evaluate_seasonal_mean(params, np.arange(len(series)))
-    r2 = r_squared(series.temps, fitted)
-    return SeasonalMeanParams(a_t=b0, b_t=b1, c_t=c, psi=psi, r_squared_fit=r2)
+    fitted = evaluate_seasonal_mean(params, np.arange(len(temps)))
+    return replace(params, r_squared_fit=r_squared(temps, fitted)), temps - fitted
 
 
 def evaluate_seasonal_mean(params: SeasonalMeanParams, t):
@@ -95,7 +96,3 @@ def evaluate_seasonal_mean(params: SeasonalMeanParams, t):
            + params.c_t * np.sin(2.0 * np.pi * t / DAYS_PER_YEAR + params.psi))
     return float(out) if out.ndim == 0 else out
 
-
-def residuals(series: TemperatureSeries, params: SeasonalMeanParams) -> np.ndarray:
-    """Observed minus seasonal mean, indexed by day."""
-    return series.temps - evaluate_seasonal_mean(params, np.arange(len(series)))

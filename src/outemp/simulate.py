@@ -24,17 +24,20 @@ path's generator alive, draws the daily normals of each block of
 BLOCK_DAYS days in turn (drawing a stream in chunks gives the same
 numbers as drawing it at once) and steps all paths one contiguous day
 row at a time. The draws are about half of the kernel's time and take
-the GIL a microsecond at a time, so threads cannot overlap them with the
+the GIL a microsecond at a time, so a thread cannot overlap them with the
 stepping. Two or more blocks, on a machine with a second CPU, draw
 every block in one forked child, which fills a shared normals slot with
-block b + 1 while the parent steps and summarizes block b (``simulate``
-1000 x 8760: 0.54 -> 0.46 s wall, a 2-vCPU Xeon VM). Its copies of the
-generators continue the parent's streams, so the numbers are those the
-in-process draws give; every other ensemble draws in process. Memory is
-``sigma`` (n_paths * n_months floats), the (n_paths, BLOCK_DAYS) normals
-slot (a shared mapping, which tracemalloc does not see, where a child
-draws) and the rows of the block being yielded, whatever the number of
-days; :func:`simulate_paths` adds one more block-sized summary buffer. A
+block b + 1 while the parent steps and summarizes block b. In
+interleaved fresh-interpreter pairs of ``simulate`` 1000 x 8760 on a
+2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), a draw thread with the same
+hand-off read medians of 0.62-0.71 s against the fork's 0.46-0.58 s over
+two runs, and won 1 of 70 pairs. The child's copies of the generators
+continue the parent's streams, so the numbers are those the in-process
+draws give; every other ensemble draws in process. Memory is ``sigma``
+(n_paths * n_months floats), the (n_paths, BLOCK_DAYS) normals slot (a
+shared mapping, which tracemalloc does not see, where a child draws)
+and the rows of the block being yielded, whatever the number of days;
+:func:`simulate_paths` adds one more block-sized summary buffer. A
 consumer that needs the whole path matrix replays the blocks, which the
 seeding contract makes exact.
 
@@ -66,18 +69,23 @@ import math
 import mmap
 import os
 import signal
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .seasonal import SeasonalMeanParams, evaluate_seasonal_mean
-from .series import DAYS_PER_YEAR, TemperatureSeries, leap_free_calendar
+from .series import (DAYS_PER_YEAR, TEMP_MAX_C, TEMP_MIN_C, TemperatureSeries,
+                     leap_free_calendar)
 from .volatility import VolatilityModelParams
 
 VOL_FLOOR = 1e-6
 
-# Days per block of the streaming kernel for two or more paths.
+# Days per block of the streaming kernel for two or more paths. Against
+# 365, in the pairs of the module docstring, 128 read 12% slower (won 2 of
+# 30), while 183 and 730 tied (won 29 and 33 of 70); 730 raised peak RSS
+# from 48 to 57 MiB and 183 lowered it to 44 MiB.
 BLOCK_DAYS = 365
 
 
@@ -206,7 +214,10 @@ def _forked_drawer(rngs: list, slot: np.ndarray, steps: list[int]):
     end, so the other's exit shows as EOF and a write to it is never a
     broken pipe. On exit the child is killed and reaped."""
     pipes, pid = [], None
-    with contextlib.suppress(OSError):   # no pipe or no fork: draw in process
+    with contextlib.suppress(OSError), warnings.catch_warnings():   # OSError: draw in process
+        # Python >= 3.12 warns of a fork beside other threads, such as numpy's
+        # BLAS pool. This child calls no BLAS and starts no thread.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
         pipes += os.pipe()
         pipes += os.pipe()
         pid = os.fork()
@@ -256,13 +267,9 @@ def day_blocks(model: Model, config: SimulationConfig, start):
     with the same draws and operations for any number of paths, so one
     path equals column 0 of any larger ensemble with its seed bit for bit.
 
-    Two or more blocks, on a system that can fork and with a second CPU,
-    draw every block's daily normals in a forked child, which fills the
-    shared normals slot with block b + 1 while the iterator steps block b
-    and the consumer reads it. The iterator's first step forks; finishing,
-    closing or dropping it ends and reaps the child, and a child that ends
-    early raises ChildProcessError. Every other ensemble draws in process
-    through the same :func:`_draw`, which gives the same numbers.
+    Where the module docstring's forked child draws the normals, the
+    iterator's first step forks it; finishing, closing or dropping the
+    iterator reaps it, and a child that ends early raises ChildProcessError.
     """
     if unstable := model.unstable():
         raise InputError(unstable)
@@ -340,18 +347,13 @@ def simulate_paths(model: Model, config: SimulationConfig, start) -> SimulatedEn
     leap-free calendar from there.
 
     The paths are summarized block by block as :func:`day_blocks` yields
-    them and never held whole, so memory is ``sigma`` (n_paths *
-    n_months floats), the normals slot (shared with any forked drawer), the
-    rows of one block and one path-major summary buffer of n_paths *
-    ``config.block_days`` floats, plus four floats per day and the cached
-    leap-free calendar's two integers per day, which stays for later
-    calls. The blocks are closed on return or on an exception, so no
-    forked drawer outlives the call. Each path draws its
-    monthly volatility normals, then its daily normals, from the generator
-    seeded [master_seed, p]; the summary equals, bit for bit, numpy's mean,
-    std(ddof=1) and percentile over the (n_paths, n_days) path matrix,
-    with an sd of zeros for one path. A non-finite summary value raises
-    InputError.
+    them and never held whole: memory is what the module docstring lists,
+    plus four floats per day and the cached leap-free calendar's two
+    integers per day, which stays for later calls. The blocks are closed
+    on return or on an exception, so no forked drawer outlives the call.
+    The summary equals, bit for bit, numpy's mean, std(ddof=1) and
+    percentile over the (n_paths, n_days) path matrix, with an sd of zeros
+    for one path. A non-finite summary value raises InputError.
     """
     # Checked before the summary is allocated: an unstable model is named
     # as such, whatever the ensemble's size.
@@ -413,14 +415,15 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
     seasonal mean at day 0. The result parses/fits like an observed
     series. The path is the ``mean_path`` of a one-path
     :func:`simulate_paths`, so it shares that function's checks: a path
-    that overflows raises its InputError, and one that leaves the sane
-    temperature range raises one that blames the volatility.
+    that overflows raises its InputError. One that leaves the sane
+    temperature range raises one that blames the seasonal mean if m(t)
+    itself leaves that range over the span, and the volatility if not.
     """
     if n_years < 1:
         raise InputError("n_years must be >= 1")
-    if start_year < 1 or start_year + n_years - 1 > 9999:
-        raise InputError(f"years {start_year}..{start_year + n_years - 1} "
-                         "outside the ISO date range 1..9999")
+    last_year = start_year + n_years - 1
+    if start_year < 1 or last_year > 9999:
+        raise InputError(f"years {start_year}..{last_year} outside the ISO date range 1..9999")
     model = Model(seasonal, kappa_t, vol)
     start = dt.date(start_year, 1, 1)
     dates = leap_free_calendar(start, DAYS_PER_YEAR * n_years).dates
@@ -430,4 +433,8 @@ def generate_synthetic_series(seasonal: SeasonalMeanParams, kappa_t: float,
     try:
         return TemperatureSeries(dates=dates, temps=temps)
     except InputError as exc:   # a finite path can fail only the sane range
-        raise InputError(f"synthetic series: {exc}; its volatility {vol} is too large") from None
+        m = evaluate_seasonal_mean(seasonal, np.arange(len(dates)))
+        cause = (f"its seasonal mean leaves that range within the years {start_year}..{last_year}"
+                 if m.min() < TEMP_MIN_C or m.max() > TEMP_MAX_C
+                 else f"its volatility {vol} is too large")
+        raise InputError(f"synthetic series: {exc}; {cause}") from None

@@ -729,6 +729,20 @@ class TestSynth:
         assert "volatility" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["--years", "2", "--sigma-override", "100"], "its volatility 100.0 is too large"),
+        # The trend b_T * t carries m(t) below -90 degC after about 4,150 years.
+        (["--years", "4300", "--sigma-override", "0"],
+         "its seasonal mean leaves that range within the years 2000..6299")],
+        ids=["volatility", "seasonal-mean"])
+    def test_range_error_names_its_cause(self, tmp_path, capsys, argv, cause):
+        out = tmp_path / "s.csv"
+        assert run("synth", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: synthetic series: temperature outside sane range "
+            f"[-90.0, 60.0] degC; {cause}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--start-year", "0"],
                                       ["--start-year", "9999", "--years", "2"]],
                              ids=["year-0", "past-9999"])

@@ -1,10 +1,12 @@
 """Golden outputs: `synth --years 4 --seed 0`, the `fit` report of that
 series, `simulate --paths 5 --days 1100 --seed 3 --full-paths` from
-that report, and `serialize_csv` of a short series with edge-case dates
-and floats, written once and compared on every run.
+that report, the `evaluate --paths 20 --seed 0` scores and `describe --out`
+JSON of that series, and `serialize_csv` of a short series with edge-case
+dates and floats, written once and compared on every run.
 
 The synthetic and simulated CSVs must match byte for byte; 1100 days
-span several simulation blocks and end in a partial one. In the report, integers,
+span several simulation blocks and end in a partial one, and the 1460
+days `evaluate` simulates span four. In the JSON documents, integers,
 dates, the month list and nulls must match exactly, and every float must
 match to a relative tolerance fixed when the files were written; a
 change that moves a float further is a behaviour change, not noise.
@@ -25,6 +27,8 @@ FIT_REPORT = DATA / "fit_4y_seed0.json"
 SIM_SUMMARY = DATA / "simulate_5p_1100d_seed3.csv"
 SIM_PATHS = DATA / "simulate_5p_1100d_seed3_paths.csv"
 SERIALIZED = DATA / "serialize_8rows_precip.csv"
+EVALUATE = DATA / "evaluate_20p_seed0.json"
+DESCRIBE = DATA / "describe_4y_seed0.json"
 RTOL = 1e-12
 
 
@@ -40,6 +44,19 @@ def _leaves(obj, path=""):
         yield path, obj
 
 
+def assert_matches_golden(doc, golden: Path):
+    got = dict(_leaves(doc))
+    want = dict(_leaves(json.loads(golden.read_text())))
+    assert list(got) == list(want)
+    for path, w in want.items():
+        g = got[path]
+        assert type(g) is type(w), path
+        if isinstance(w, float):
+            assert abs(g - w) <= RTOL * abs(w), f"{path}: {g!r} vs {w!r}"
+        else:
+            assert g == w, path
+
+
 def test_synth_csv_byte_identical(tmp_path):
     out = tmp_path / "synth.csv"
     assert main(["synth", "--years", "4", "--seed", "0", "--out", str(out)]) == 0
@@ -49,16 +66,18 @@ def test_synth_csv_byte_identical(tmp_path):
 def test_fit_report_matches_golden(tmp_path):
     out = tmp_path / "report.json"
     assert main(["fit", "--input", str(SYNTH_CSV), "--out", str(out)]) == 0
-    got = dict(_leaves(json.loads(out.read_text())))
-    want = dict(_leaves(json.loads(FIT_REPORT.read_text())))
-    assert list(got) == list(want)
-    for path, w in want.items():
-        g = got[path]
-        assert type(g) is type(w), path
-        if isinstance(w, float):
-            assert abs(g - w) <= RTOL * abs(w), f"{path}: {g!r} vs {w!r}"
-        else:
-            assert g == w, path
+    assert_matches_golden(json.loads(out.read_text()), FIT_REPORT)
+
+
+def test_evaluate_scores_match_golden(capsys):
+    assert main(["evaluate", "--input", str(SYNTH_CSV), "--paths", "20", "--seed", "0"]) == 0
+    assert_matches_golden(json.loads(capsys.readouterr().out), EVALUATE)
+
+
+def test_describe_json_matches_golden(tmp_path):
+    out = tmp_path / "describe.json"
+    assert main(["describe", "--input", str(SYNTH_CSV), "--out", str(out)]) == 0
+    assert_matches_golden(json.loads(out.read_text()), DESCRIBE)
 
 
 def test_simulate_csvs_byte_identical(tmp_path):

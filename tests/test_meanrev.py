@@ -6,7 +6,7 @@ import pytest
 
 from outemp import EstimationError
 from outemp.meanrev import estimate_kappa, estimating_function
-from outemp.seasonal import SeasonalMeanParams, residuals
+from outemp.seasonal import SeasonalMeanParams, evaluate_seasonal_mean
 from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
@@ -28,7 +28,8 @@ def series_from_temps(temps, start=dt.date(2001, 1, 1)):
 def kappa_for(series, seasonal, vols):
     """estimate_kappa on the residuals and month index of ``series``."""
     month_id = leap_free_calendar(series.dates[0], len(series)).month_id
-    return estimate_kappa(residuals(series, seasonal), month_id, vols)
+    resid = series.temps - evaluate_seasonal_mean(seasonal, np.arange(len(series)))
+    return estimate_kappa(resid, month_id, vols)
 
 
 def constant_vols_for(series, sigma=1.0):
@@ -109,9 +110,9 @@ class TestEstimateKappa:
         s0 = series_from_temps(base + dev)
         s1 = series_from_temps(base + dev + 4.0)
         calendar = leap_free_calendar(s0.dates[0], len(s0))   # s1's too
-        k0 = kappa_for(s0, fit_seasonal_mean(s0), monthly_quadratic_variation(
+        k0 = kappa_for(s0, fit_seasonal_mean(s0.temps)[0], monthly_quadratic_variation(
             s0.temps, calendar.month_id, calendar.months)).kappa_t
-        k1 = kappa_for(s1, fit_seasonal_mean(s1), monthly_quadratic_variation(
+        k1 = kappa_for(s1, fit_seasonal_mean(s1.temps)[0], monthly_quadratic_variation(
             s1.temps, calendar.month_id, calendar.months)).kappa_t
         assert k0 == pytest.approx(k1, rel=1e-9)
 

@@ -11,7 +11,7 @@ from outemp import (EstimationError, evaluate_model, fit_full_model,
 from outemp.simulate import SimulationConfig, generate_synthetic_series, simulate_paths
 from outemp.stats import fit_metrics
 from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL
-from outemp import series
+from outemp import seasonal, series
 from outemp.errors import InputError
 from outemp.series import TemperatureSeries
 
@@ -74,6 +74,18 @@ class TestFitFullModel:
         s = TemperatureSeries(dates=dates, temps=np.full(dates.size, 25.0))
         with pytest.raises(InputError, match="strip_leap_days"):
             fit_full_model(s)
+
+    def test_evaluates_the_seasonal_mean_once(self, synthetic_series, monkeypatch):
+        # R^2 and the residuals the later stages take share one m(t).
+        sizes, evaluate = [], seasonal.evaluate_seasonal_mean
+
+        def counting(params, t):
+            sizes.append(np.size(t))
+            return evaluate(params, t)
+
+        monkeypatch.setattr(seasonal, "evaluate_seasonal_mean", counting)
+        fit_full_model(synthetic_series)
+        assert sizes == [len(synthetic_series)]
 
     def test_a_second_replicate_reuses_the_calendar(self, monkeypatch):
         # synth -> serialize -> parse -> strip -> fit derives the calendar

@@ -6,8 +6,7 @@ import pytest
 
 from outemp import EstimationError, InputError, TemperatureSeries
 from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
-                             fit_seasonal_mean, ols_fit, recover_amplitude_phase,
-                             residuals)
+                             fit_seasonal_mean, ols_fit, recover_amplitude_phase)
 from outemp.stats import r_squared
 from outemp.series import leap_free_days
 
@@ -57,7 +56,7 @@ class TestRecoverAmplitudePhase:
 class TestFitSeasonalMean:
     def test_noiseless_exact(self):
         s = model_series(2.0, 0.0, 1.0, 0.0, 730)
-        p = fit_seasonal_mean(s)
+        p, _ = fit_seasonal_mean(s.temps)
         assert p.a_t == pytest.approx(2.0, abs=1e-10)
         assert p.b_t == pytest.approx(0.0, abs=1e-10)
         assert p.c_t == pytest.approx(1.0, abs=1e-10)
@@ -68,15 +67,15 @@ class TestFitSeasonalMean:
         rng = np.random.default_rng(1)
         s = model_series(20.0, 1e-4, 2.0, 0.8, 1200,
                          noise=rng.normal(scale=1.5, size=1200))
-        p = fit_seasonal_mean(s)
-        assert abs(residuals(s, p).mean()) < 1e-9
+        _, resid = fit_seasonal_mean(s.temps)
+        assert abs(resid.mean()) < 1e-9
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(2)
         noise = rng.normal(scale=1.0, size=800)
         s0 = model_series(20.0, 0.0, 1.5, 0.3, 800, noise=noise)
         s1 = series_from_temps(s0.temps + 5.0)
-        p0, p1 = fit_seasonal_mean(s0), fit_seasonal_mean(s1)
+        (p0, _), (p1, _) = fit_seasonal_mean(s0.temps), fit_seasonal_mean(s1.temps)
         assert p1.a_t == pytest.approx(p0.a_t + 5.0, abs=1e-9)
         assert p1.b_t == pytest.approx(p0.b_t, abs=1e-9)
         assert p1.c_t == pytest.approx(p0.c_t, abs=1e-9)
@@ -86,21 +85,22 @@ class TestFitSeasonalMean:
         # An input error, checked before the constant-series estimation failure.
         for temps in ([1.0, 2.0, 3.0, 4.0], [5.0] * 4):
             with pytest.raises(InputError, match="at least 5 observations"):
-                fit_seasonal_mean(series_from_temps(temps))
+                fit_seasonal_mean(np.asarray(temps))
 
     def test_r_squared_matches_stats_module(self):
         rng = np.random.default_rng(3)
         s = model_series(25.0, 0.0, 1.0, 0.5, 600,
                          noise=rng.normal(scale=1.0, size=600))
-        p = fit_seasonal_mean(s)
+        p, resid = fit_seasonal_mean(s.temps)
         fitted = evaluate_seasonal_mean(p, np.arange(len(s)))
         assert p.r_squared_fit == r_squared(s.temps, fitted)
+        assert resid.tobytes() == (s.temps - fitted).tobytes()
 
     def test_normal_equations_oracle(self):
         rng = np.random.default_rng(4)
         s = model_series(25.0, 5e-5, 1.8, 0.4, 900,
                          noise=rng.normal(scale=1.2, size=900))
-        beta = ols_fit(s)
+        beta = ols_fit(s.temps)
         x = design_matrix(len(s))
         beta_ne = np.linalg.solve(x.T @ x, x.T @ s.temps)
         assert np.allclose(beta, beta_ne, atol=1e-8)
@@ -134,14 +134,19 @@ class TestEvaluateSeasonalMean:
 
 
 class TestResiduals:
+    """The residuals fit_seasonal_mean returns with its fit."""
+
     def test_exact_model_zero_residuals(self):
         p = SeasonalMeanParams(20.0, 1e-4, 1.0, 0.2, 1.0)
         t = np.arange(500)
-        s = series_from_temps(evaluate_seasonal_mean(p, t))
-        assert np.all(np.abs(residuals(s, p)) < 1e-12)
+        _, resid = fit_seasonal_mean(evaluate_seasonal_mean(p, t))
+        assert np.all(np.abs(resid) < 1e-12)
 
     def test_constant_offset(self):
-        p = SeasonalMeanParams(20.0, 0.0, 1.0, 0.2, 1.0)
-        t = np.arange(400)
-        s = series_from_temps(evaluate_seasonal_mean(p, t) + 0.5)
-        assert np.allclose(residuals(s, p), 0.5, atol=1e-12)
+        # An offset moves a_t and leaves the residuals where they were.
+        noise = np.random.default_rng(5).normal(scale=1.0, size=400)
+        y = evaluate_seasonal_mean(SeasonalMeanParams(20.0, 0.0, 1.0, 0.2, 1.0),
+                                   np.arange(400)) + noise
+        (p0, r0), (p1, r1) = fit_seasonal_mean(y), fit_seasonal_mean(y + 0.5)
+        assert p1.a_t == pytest.approx(p0.a_t + 0.5, abs=1e-12)
+        assert np.allclose(r1, r0, atol=1e-12)

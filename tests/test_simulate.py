@@ -1,9 +1,11 @@
+import contextlib
 import datetime as dt
 import errno
 import os
 import re
 import signal
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +477,38 @@ class TestForkedDrawer:
         next(blocks)
         assert len(forks) == 1
         blocks.close()
+        assert_no_child()
+
+    def test_fork_warning_in_the_parent_changes_nothing(self, monkeypatch):
+        # Python >= 3.12 warns in the parent, once the child exists, of a
+        # fork in a process with other threads, such as numpy's BLAS pool.
+        if not hasattr(os, "fork"):
+            pytest.skip("this system cannot fork")
+        model, cfg = Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=800)
+        fork, pids = os.fork, []
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.", DeprecationWarning)
+            return pid
+        refuse_fork(monkeypatch)
+        in_process = [a.tobytes() for a in vars(simulate_paths(model, cfg, START)).values()]
+        monkeypatch.setattr(simulate, "_second_cpu", lambda: True)
+        monkeypatch.setattr(simulate.os, "fork", warning_fork)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                forked = simulate_paths(model, cfg, START)
+        finally:
+            for pid in pids:   # a drawer the raised warning would leave behind
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        assert len(pids) == 1
+        assert [a.tobytes() for a in vars(forked).values()] == in_process
         assert_no_child()
 
     def test_slot_beyond_memory_is_a_memory_error(self, forks, monkeypatch):

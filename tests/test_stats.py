@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from outemp import EstimationError, InputError
 from outemp.meanrev import estimate_kappa
-from outemp.seasonal import SeasonalMeanParams, residuals
 from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
 from outemp.stats import (_ad_p_value, _log_ndtr_both, anderson_darling_normal, describe,
                           fit_metrics, format_p_value, lag1_rate, mape, r_squared, rmse)
@@ -223,9 +222,8 @@ class TestLag1Rate:
             MonthlyVolatility(y, m, 2.5) for y, m in months))
         w = np.full(399, 1.0 / 2.5 ** 2)
         ratio = float(np.sum(w * x[:-1] * x[1:])) / float(np.sum(w * x[:-1] * x[:-1]))
-        flat = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
         month_id = leap_free_calendar(series.dates[0], len(series)).month_id
-        assert estimate_kappa(residuals(series, flat), month_id, vols).kappa_t == -math.log(ratio)
+        assert estimate_kappa(series.temps, month_id, vols).kappa_t == -math.log(ratio)
 
         sigmas = 1.0 + 0.1 * x[:40]
         entries = tuple(MonthlyVolatility(2000 + i // 12, i % 12 + 1, s)
