@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ DEFAULT_KAPPA_T = 0.1872
 DEFAULT_VOL = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=0.419,
                                     kappa_sigma=0.989)
 
-# Most values `_write_day_rows` formats at once: a whole 1000-path block
+# Most values `_day_rows` formats at once: a whole 1000-path block
 # would hold about 20 MB of reprs, and larger chunks write no faster.
 CHUNK_VALUES = 2 ** 12
 
@@ -155,10 +156,13 @@ def run_simulate(args) -> int:
     model, start = report.model, report.meta.start
     config = simulate.SimulationConfig(n_paths=args.paths, n_days=args.days, master_seed=args.seed,
                                        t0_temp=simulate.evaluate_seasonal_mean(model.seasonal, 0))
-    ens = simulate.simulate_paths(model, config, start)
+    # Formatted block by block, while a forked drawer draws the next block,
+    # and written only once every block is summarized: an ensemble that
+    # overflows leaves every file as it was.
+    summary = list(_day_rows("mean,sd,p05,p95", simulate.summary_blocks(model, config, start)))
     with _output_files(args.out, args.full_paths):
-        _write_day_rows(args.out, "mean,sd,p05,p95", [(0, np.column_stack(
-            (ens.mean_path, ens.cross_path_sd, ens.p05, ens.p95)))])
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(summary)
         if args.full_paths:
             # A second pass: the seeding contract makes the replay exact.
             _write_day_rows(args.full_paths,
@@ -167,19 +171,24 @@ def run_simulate(args) -> int:
     return 0
 
 
+def _day_rows(columns: str, blocks):
+    """The text of a `day,<columns>` CSV of the rows of ``(first_day, 2-D
+    array)`` blocks, in pieces that :func:`float_rows` formats from at most
+    CHUNK_VALUES values each."""
+    yield f"day,{columns}\n"
+    for first, rows in blocks:
+        step = max(1, CHUNK_VALUES // rows.shape[1])
+        for i in range(0, len(rows), step):
+            days = range(first + i, first + min(i + step, len(rows)))
+            yield float_rows("".join(f"{d}\n" for d in days), rows[i:i + step])
+        # Released before the blocks' source makes the next block.
+        del rows
+
+
 def _write_day_rows(path: str, columns: str, blocks) -> None:
-    """A `day,<columns>` CSV of the rows of ``(first_day, 2-D array)``
-    blocks, written by :func:`float_rows` at most CHUNK_VALUES values at
-    a time."""
+    """Write :func:`_day_rows` to ``path`` as it is made."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"day,{columns}\n")
-        for first, rows in blocks:
-            step = max(1, CHUNK_VALUES // rows.shape[1])
-            for i in range(0, len(rows), step):
-                days = range(first + i, first + min(i + step, len(rows)))
-                fh.write(float_rows("".join(f"{d}\n" for d in days), rows[i:i + step]))
-            # Released before the blocks' source makes the next block.
-            del rows
+        fh.writelines(_day_rows(columns, blocks))
 
 
 def run_evaluate(args) -> int:
@@ -276,5 +285,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def script() -> int:
+    """The process entry, of ``python -m outemp.cli`` and the ``outemp``
+    script: :func:`main` on the command line, after ``gc.freeze()`` has
+    moved every object the imports made (numpy's, mostly) out of the
+    collector's reach. No collection walks them again, the interpreter's
+    last ones at exit included. :func:`main` itself leaves the collector
+    as it is, for the callers that run it inside their own process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -27,7 +27,8 @@ row at a time. The draws are about half of the kernel's time and take
 the GIL a microsecond at a time, so a thread cannot overlap them with the
 stepping. Two or more blocks, on a machine with a second CPU, draw
 every block in one forked child, which fills a shared normals slot with
-block b + 1 while the parent steps and summarizes block b. In
+block b + 1 while the parent steps and summarizes block b and, in
+``simulate``, formats the block's rows of the summary CSV. In
 interleaved fresh-interpreter pairs of ``simulate`` 1000 x 8760 on a
 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), a draw thread with the same
 hand-off read medians of 0.62-0.71 s against the fork's 0.46-0.58 s over
@@ -37,9 +38,13 @@ draws give; every other ensemble draws in process. Memory is ``sigma``
 (n_paths * n_months floats), the (n_paths, BLOCK_DAYS) normals slot (a
 shared mapping, which tracemalloc does not see, where a child draws)
 and the rows of the block being yielded, whatever the number of days;
-:func:`simulate_paths` adds one more block-sized summary buffer. A
-consumer that needs the whole path matrix replays the blocks, which the
-seeding contract makes exact.
+:func:`summary_blocks` adds one more block-sized buffer, its path-major
+copy. The summary itself grows with the days: :func:`simulate_paths`
+holds four floats per day, and ``simulate`` the summary CSV's text, about
+80 bytes per day, which it writes only once the last block is summarized,
+so that an ensemble that overflows writes nothing. A consumer that needs
+the whole path matrix replays the blocks, which the seeding contract
+makes exact.
 
 A one-path ensemble (every synthetic series) is one block of all its
 days. It steps Python floats instead of 1-element rows, in both layers,
@@ -311,16 +316,17 @@ def day_blocks(model: Model, config: SimulationConfig, start):
         last = config.t0_temp
         with _forked_drawer(rngs, slot, steps) if fork else contextlib.nullcontext() as drawer:
             for first, stop, n_steps in zip(firsts, stops, steps):
+                j0 = max(first - 1, 0)
+                rows = np.empty((stop - j0, n_paths))
+                rows[0] = last
+                # The indices are in range; mode="raise" would gather into a hidden copy.
+                # Gathered before the wait: only the multiply needs the drawer's block.
+                np.take(sigma, month_idx[j0:stop - 1], axis=0, out=rows[1:], mode="clip")
                 if drawer is None:
                     _draw(rngs, slot, n_steps)
                 elif not os.read(drawer[0], 1):
                     raise ChildProcessError("the forked process drawing the "
                                             "simulation's normals ended early")
-                j0 = max(first - 1, 0)
-                rows = np.empty((stop - j0, n_paths))
-                rows[0] = last
-                # The indices are in range; mode="raise" would gather into a hidden copy.
-                np.take(sigma, month_idx[j0:stop - 1], axis=0, out=rows[1:], mode="clip")
                 rows[1:] *= slot[:, :n_steps].T
                 # The slot is free again: the drawer fills it with the next
                 # block while this one steps.
@@ -335,8 +341,62 @@ def day_blocks(model: Model, config: SimulationConfig, start):
     return blocks()
 
 
-# An overflow shows as a non-finite summary value, which raises at the end.
-@np.errstate(over="ignore", invalid="ignore")
+def summary_blocks(model: Model, config: SimulationConfig, start):
+    """Summarize an ensemble per day across its paths, block by block.
+
+    Takes the arguments of :func:`simulate_paths`, checks them and sets up
+    at the call, as :func:`day_blocks` does, and returns an iterator of
+    ``(first_day, summary)`` in day order, where ``summary`` is a new
+    ``(days_in_block, 4)`` array whose row i holds the mean, sd, p05 and p95
+    of day ``first_day + i``; it is the transpose of a C-ordered (4,
+    days_in_block) array, so each of its columns is contiguous. It summarizes each block of :func:`day_blocks`
+    as that block arrives, so a consumer can use one block's summary while a
+    forked drawer draws the next, and it raises InputError at the first
+    block that holds a non-finite summary value. The blocks are closed when
+    the iterator finishes, raises or is closed, which reaps a forked drawer.
+
+    The summary equals, bit for bit, numpy's mean, std(ddof=1) and
+    percentile over the (n_paths, n_days) path matrix, with an sd of zeros
+    for one path.
+    """
+    blocks = day_blocks(model, config, start)
+    n_paths = config.n_paths
+    buffer = np.empty(n_paths * config.block_days)
+
+    def summaries():
+        with contextlib.closing(blocks):
+            while True:
+                # An overflow shows as a non-finite summary value. The errstate
+                # never spans a yield, which would carry it into the consumer.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if (item := next(blocks, None)) is None:
+                        return
+                    first, block = item
+                    summary = np.zeros((4, len(block)))   # sd stays 0 for one path
+                    # Reducing a path-major copy over axis 0 adds the paths in
+                    # index order, as the whole matrix would; a reduction along
+                    # the contiguous axis sums pairwise and rounds differently.
+                    # The mean and sd are numpy's own _mean and _var steps, done
+                    # in place.
+                    by_path = buffer[:block.size].reshape(n_paths, len(block))
+                    by_path[...] = block.T
+                    mean = np.add.reduce(by_path, axis=0) / n_paths
+                    summary[0] = mean
+                    if n_paths >= 2:
+                        by_path -= mean
+                        np.multiply(by_path, by_path, out=by_path)
+                        summary[1] = np.sqrt(np.add.reduce(by_path, axis=0) / (n_paths - 1))
+                    block.sort(axis=1)
+                    summary[2] = _sorted_percentile(block, 5)
+                    summary[3] = _sorted_percentile(block, 95)
+                    del item, block   # released before day_blocks allocates the next
+                if not np.isfinite(summary).all():
+                    raise InputError("the simulated ensemble overflowed to a non-finite "
+                                     "value; kappa_t or the volatility is out of range")
+                yield first, summary.T
+    return summaries()
+
+
 def simulate_paths(model: Model, config: SimulationConfig, start) -> SimulatedEnsemble:
     """Simulate a Monte Carlo ensemble of daily temperature paths and
     summarize it per day across paths.
@@ -346,47 +406,18 @@ def simulate_paths(model: Model, config: SimulationConfig, start) -> SimulatedEn
     and the monthly volatility switches on the calendar months of the
     leap-free calendar from there.
 
-    The paths are summarized block by block as :func:`day_blocks` yields
-    them and never held whole: memory is what the module docstring lists,
-    plus four floats per day and the cached leap-free calendar's two
-    integers per day, which stays for later calls. The blocks are closed
-    on return or on an exception, so no forked drawer outlives the call.
-    The summary equals, bit for bit, numpy's mean, std(ddof=1) and
-    percentile over the (n_paths, n_days) path matrix, with an sd of zeros
-    for one path. A non-finite summary value raises InputError.
+    The ensemble is :func:`summary_blocks` collected into four per-day
+    arrays, with its checks and its bits; the paths are never held whole:
+    memory is what the module docstring lists, plus four floats per day
+    (eight while the blocks' summaries are joined) and the cached leap-free
+    calendar's two integers per day, which stays for later calls. No forked
+    drawer outlives the call.
     """
-    # Checked before the summary is allocated: an unstable model is named
-    # as such, whatever the ensemble's size.
-    blocks = day_blocks(model, config, start)
-    n_paths, n_days = config.n_paths, config.n_days
-    mean_path, sd, p05, p95 = np.zeros((4, n_days))   # sd stays 0 for one path
-    buffer = np.empty(n_paths * config.block_days)
-    # Closed on any exit, which reaps a forked drawer at once, even while
-    # a caller holds the traceback of an exception.
-    with contextlib.closing(blocks):
-        for first, block in blocks:
-            days = slice(first, first + len(block))
-            # Reducing a path-major copy over axis 0 adds the paths in index
-            # order, as the whole matrix would; a reduction along the
-            # contiguous axis sums pairwise and rounds differently. The mean
-            # and sd are numpy's own _mean and _var steps, done in place.
-            by_path = buffer[:block.size].reshape(n_paths, len(block))
-            by_path[...] = block.T
-            mean = np.add.reduce(by_path, axis=0) / n_paths
-            mean_path[days] = mean
-            if n_paths >= 2:
-                by_path -= mean
-                np.multiply(by_path, by_path, out=by_path)
-                sd[days] = np.sqrt(np.add.reduce(by_path, axis=0) / (n_paths - 1))
-            block.sort(axis=1)
-            p05[days] = _sorted_percentile(block, 5)
-            p95[days] = _sorted_percentile(block, 95)
-            del block   # released before day_blocks allocates the next
-    ens = SimulatedEnsemble(mean_path=mean_path, cross_path_sd=sd, p05=p05, p95=p95)
-    if not all(np.isfinite(a).all() for a in vars(ens).values()):
-        raise InputError("the simulated ensemble overflowed to a non-finite "
-                         "value; kappa_t or the volatility is out of range")
-    return ens
+    parts = [summary.T for _, summary in summary_blocks(model, config, start)]
+    # A one-block ensemble (every synthetic series) keeps its one summary:
+    # a copy into fresh pages cost 0.16 ms per 24-year series (2-vCPU Xeon VM).
+    mean_path, sd, p05, p95 = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return SimulatedEnsemble(mean_path=mean_path, cross_path_sd=sd, p05=p05, p95=p95)
 
 
 def _sorted_percentile(ordered: np.ndarray, q: float) -> np.ndarray:

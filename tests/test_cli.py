@@ -1,5 +1,6 @@
 import contextlib
 import datetime as dt
+import gc
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from outemp.seasonal import evaluate_seasonal_mean
 from outemp.simulate import SimulationConfig
 from outemp import cli
 from outemp.cli import main
-from outemp.series import leap_free_calendar
+from outemp.series import float_rows, leap_free_calendar
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "fit_4y_seed0.json"
 DELETE = object()
@@ -419,6 +420,19 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_summary_file_is_the_ensemble_formatted_whole(self, tmp_path):
+        # 60 paths x 800 days: three blocks, each formatted as it arrives.
+        out = tmp_path / "e.csv"
+        assert run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "60",
+                   "--days", "800", "--seed", "3", "--out", str(out)) == 0
+        report = report_from_dict(json.loads(GOLDEN_REPORT.read_text()))
+        config = SimulationConfig(n_paths=60, n_days=800, master_seed=3,
+                                  t0_temp=evaluate_seasonal_mean(report.seasonal, 0))
+        ens = simulate.simulate_paths(report.model, config, report.meta.start)
+        assert out.read_text() == "day,mean,sd,p05,p95\n" + float_rows(
+            "".join(f"{d}\n" for d in range(800)),
+            np.column_stack((ens.mean_path, ens.cross_path_sd, ens.p05, ens.p95)))
+
     def test_summary_values_are_plain_floats(self, tmp_path):
         out = tmp_path / "e.csv"
         assert run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "3",
@@ -536,7 +550,7 @@ class TestSimulate:
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
             raise MemoryError
-        monkeypatch.setattr(simulate, "simulate_paths", out_of_memory)
+        monkeypatch.setattr(simulate, "summary_blocks", out_of_memory)
         rc = run("simulate", "--report", str(GOLDEN_REPORT), "--paths", "2",
                  "--days", "5", "--out", str(tmp_path / "e.csv"))
         assert rc == 2
@@ -788,6 +802,37 @@ def test_no_command_needs_scipy(tmp_path):
                          cwd=tmp_path, capture_output=True, text=True).stdout
     assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0, 0]
     assert json.loads((tmp_path / "d.json").read_text())["temperature_normality"]
+
+
+def test_process_entry_exits_as_main_returns(small_synth, tmp_path, capsys):
+    # `python -m outemp.cli` runs cli.script, which freezes the objects the
+    # imports made before it runs main; main in process freezes nothing.
+    temps = 25.0 + np.random.default_rng(1).standard_normal(730)
+    temps[31:59] = 25.0   # a constant month, as in test_constant_month_exit_3
+    constant = write_daily_csv(tmp_path / "const_feb.csv", "2001-01-01", temps)
+    unstable = tmp_path / "unstable.json"
+    unstable.write_text(json.dumps(
+        edited_report("kappa_t", 2.5)(json.loads(GOLDEN_REPORT.read_text()))))
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for code, argv in [
+            (0, ["fit", "--input", str(small_synth), "--out", str(tmp_path / "r.json")]),
+            (2, ["simulate", "--report", str(unstable), "--days", "5",
+                 "--out", str(tmp_path / "e.csv")]),
+            (3, ["fit", "--input", str(constant), "--out", str(tmp_path / "c.json")])]:
+        proc = subprocess.run([sys.executable, "-m", "outemp.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+        assert gc.get_freeze_count() == 0
+    code = ("import gc, sys; from outemp import cli; "
+            "sys.argv[1:] = ['synth', '--years', '1', '--out', 's.csv']; "
+            "print(cli.script(), gc.get_freeze_count() > 0)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=tmp_path,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "True"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,6 +1,7 @@
 import contextlib
 import datetime as dt
 import errno
+import json
 import os
 import re
 import signal
@@ -16,7 +17,7 @@ from outemp import cli, simulate
 from outemp.seasonal import SeasonalMeanParams, evaluate_seasonal_mean
 from outemp.series import leap_free_calendar, leap_free_days, serialize_csv
 from outemp.simulate import (VOL_FLOOR, Model, SimulationConfig, _vol_recursion, day_blocks,
-                             generate_synthetic_series, simulate_paths)
+                             generate_synthetic_series, simulate_paths, summary_blocks)
 from outemp.volatility import VolatilityModelParams
 
 SEASONAL = SeasonalMeanParams(26.4, -7.58e-5, 1.75, 0.531, 0.5062)
@@ -559,6 +560,35 @@ class TestForkedDrawer:
             simulate_paths(Model(SEASONAL, 0.1872, VOL), config(n_paths=3, n_days=2000), START)
         assert_no_child()
 
+    # In 7-day blocks from January 1, blocks 0 to 3 step with January's
+    # sigma_bar alone; block 4 holds the first day of February's sigma.
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_overflow_in_a_later_block_exits_the_cli_with_one_line(
+            self, forks, monkeypatch, tmp_path, capsys, existing):
+        monkeypatch.setattr(simulate, "BLOCK_DAYS", 7)
+        payload = json.loads((Path(__file__).parent / "data" / "fit_4y_seed0.json").read_text())
+        payload["vol"]["sigma_sigma"] = 1e300
+        report, out = tmp_path / "r.json", tmp_path / "e.csv"
+        report.write_text(json.dumps(payload))
+        if existing:
+            out.write_text("an earlier run\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", "--report", str(report), "--paths", "3",
+                           "--days", "800", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "input error: the simulated ensemble overflowed to a non-finite value; "
+            "kappa_t or the volatility is out of range"]
+        if existing:
+            assert out.read_text() == "an earlier run\n"
+        else:
+            assert not out.exists()
+        assert len(forks) == 1
+        assert_no_child()
+
     def test_drawer_ending_early_exits_the_cli_with_one_line(
             self, drawer_dies_on_second_block, deadline, tmp_path, capsys):
         out = tmp_path / "e.csv"
@@ -571,4 +601,50 @@ class TestForkedDrawer:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "ended early" in captured.err
         assert not out.exists()
+        assert_no_child()
+
+
+class TestSummaryBlocks:
+    """The per-block summary that simulate_paths collects and simulate writes."""
+
+    # 300 days are one block, 800 days three, which a second CPU draws in a
+    # forked child for two or more paths.
+    @pytest.mark.parametrize("second_cpu", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("n_days", [300, 800])
+    @pytest.mark.parametrize("n_paths", [1, 2, 3])
+    def test_stream_equals_the_ensemble(self, forks, monkeypatch, n_paths, n_days,
+                                        second_cpu):
+        monkeypatch.setattr(simulate, "_second_cpu", lambda: second_cpu)
+        model, cfg = Model(SEASONAL, 0.1872, VOL), config(n_paths=n_paths, n_days=n_days,
+                                                          master_seed=4)
+        blocks = list(summary_blocks(model, cfg, START))
+        assert [first for first, _ in blocks] == list(range(0, n_days, cfg.block_days))
+        stream = np.concatenate([summary for _, summary in blocks])
+        ens = simulate_paths(model, cfg, START)
+        assert stream.tobytes() == np.column_stack(
+            (ens.mean_path, ens.cross_path_sd, ens.p05, ens.p95)).tobytes()
+        paths = path_matrix(model, cfg, START)
+        assert np.array_equal(stream, np.column_stack((
+            paths.mean(axis=0),
+            paths.std(axis=0, ddof=1) if n_paths >= 2 else np.zeros(n_days),
+            np.percentile(paths, 5, axis=0), np.percentile(paths, 95, axis=0))))
+        forked = second_cpu and n_paths >= 2 and n_days > simulate.BLOCK_DAYS
+        assert len(forks) == (3 if forked else 0)   # the stream, the ensemble, the replay
+        assert_no_child()
+
+    def test_overflow_raises_at_its_first_block(self, forks, monkeypatch):
+        # As in the CLI test above: block 4 is the first to overflow.
+        monkeypatch.setattr(simulate, "BLOCK_DAYS", 7)
+        vol = VolatilityModelParams(sigma_bar=0.877, sigma_sigma=1e300, kappa_sigma=0.989)
+        firsts, errors = [], np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="overflowed"):
+                for first, summary in summary_blocks(Model(SEASONAL, 0.1872, vol),
+                                                     config(n_paths=3, n_days=800), START):
+                    assert np.isfinite(summary).all()
+                    assert np.geterr() == errors   # no errstate leaks out of a block
+                    firsts.append(first)
+        assert firsts == [0, 7, 14, 21]
+        assert len(forks) == 1
         assert_no_child()
