@@ -349,11 +349,12 @@ def summary_blocks(model: Model, config: SimulationConfig, start):
     ``(first_day, summary)`` in day order, where ``summary`` is a new
     ``(days_in_block, 4)`` array whose row i holds the mean, sd, p05 and p95
     of day ``first_day + i``; it is the transpose of a C-ordered (4,
-    days_in_block) array, so each of its columns is contiguous. It summarizes each block of :func:`day_blocks`
-    as that block arrives, so a consumer can use one block's summary while a
-    forked drawer draws the next, and it raises InputError at the first
-    block that holds a non-finite summary value. The blocks are closed when
-    the iterator finishes, raises or is closed, which reaps a forked drawer.
+    days_in_block) array, so each of its columns is contiguous. It
+    summarizes each block of :func:`day_blocks` as that block arrives, so a
+    consumer can use one block's summary while a forked drawer draws the
+    next, and it raises InputError at the first block that holds a
+    non-finite summary value. The blocks are closed when the iterator
+    finishes, raises or is closed, which reaps a forked drawer.
 
     The summary equals, bit for bit, numpy's mean, std(ddof=1) and
     percentile over the (n_paths, n_days) path matrix, with an sd of zeros
