@@ -184,12 +184,6 @@ def _calendar(start: int, n: int) -> LeapFreeCalendar:
                             tuple(zip(year[starts].tolist(), month[starts].tolist())))
 
 
-def leap_free_days(start, n: int) -> np.ndarray:
-    """``n`` consecutive calendar days from ``start``, Feb 29 skipped
-    (read-only: :func:`leap_free_calendar`'s ``dates``)."""
-    return leap_free_calendar(start, n).dates
-
-
 def on_leap_free_calendar(dates: np.ndarray) -> LeapFreeCalendar | None:
     """The leap-free calendar that ``dates`` are, from their first day,
     or None when they hold a Feb 29 or a gap."""
@@ -453,7 +447,7 @@ def strip_leap_days(series: TemperatureSeries) -> TemperatureSeries:
     stripped = TemperatureSeries(series.dates[keep], series.temps[keep],
                                  None if series.precip is None else series.precip[keep])
     dates = stripped.dates
-    expected = leap_free_days(dates[0], len(dates))
+    expected = leap_free_calendar(dates[0], len(dates)).dates
     gaps = np.flatnonzero(dates != expected)
     if gaps.size:
         i = gaps[0]

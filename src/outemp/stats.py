@@ -61,13 +61,16 @@ def describe(values) -> DescriptiveSummary:
     central moments (m3/m2^1.5 and m4/m2^2 - 3).
     """
     x = np.asarray(values, dtype=float)
-    if x.size == 0:
+    n = x.size
+    if n == 0:
         raise InputError("cannot describe an empty sequence")
-    d = x - x.mean()
-    m2 = float(np.mean(d ** 2))
+    mean = x.mean()
+    d = x - mean
+    ss = float(np.sum(d * d))   # numpy's std (ddof=1) and np.mean(d ** 2) divide it
+    m2 = ss / n
+    sd = math.sqrt(ss / (n - 1)) if n > 1 else 0.0
     if m2 == 0.0:
         skew = kurt = None
-        sd = 0.0
     else:
         # Standardize before taking moments so tiny-scale samples don't
         # underflow in m2**2.
@@ -76,16 +79,17 @@ def describe(values) -> DescriptiveSummary:
         z2 = z * z
         skew = float(np.mean(z2 * z))
         kurt = float(np.mean(z2 * z2)) - 3.0
-        sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
+    s = np.sort(x)   # np.median's arithmetic, without its numpy.ma NaN check
+    median = s[-1] if np.isnan(s[-1]) else np.mean(s[(n - 1) // 2:n // 2 + 1])
     return DescriptiveSummary(
-        mean=float(x.mean()),
-        median=float(np.median(x)),
+        mean=float(mean),
+        median=float(median),
         sd=sd,
         skewness=skew,
         excess_kurtosis=kurt,
         min=float(x.min()),
         max=float(x.max()),
-        n=int(x.size),
+        n=n,
     )
 
 
@@ -104,10 +108,11 @@ def anderson_darling_normal(values) -> NormalityTestResult:
     n = x.size
     if n < 8:
         raise InputError("Anderson-Darling test needs at least 8 observations")
-    sd = float(np.std(x, ddof=1))
+    d = x - x.mean()
+    sd = math.sqrt(float(np.sum(d * d)) / (n - 1))   # numpy's std, ddof=1
     if sd == 0.0:
         raise InputError("Anderson-Darling test undefined for zero variance")
-    y = (x - x.mean()) / sd
+    y = d / sd
     i = np.arange(1, n + 1)
     log_cdf, log_sf = _log_ndtr_both(y)
     # Logs of the CDF and survival keep the tails finite for extreme samples.

@@ -26,7 +26,7 @@ from outemp.cli import DEFAULT_KAPPA_T, DEFAULT_SEASONAL, DEFAULT_VOL, main
 from outemp.meanrev import estimating_function, transition_weights
 from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
                              fit_seasonal_mean, ols_fit)
-from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
+from outemp.series import TemperatureSeries, leap_free_calendar
 from outemp.simulate import (Model, SimulationConfig, day_blocks, generate_synthetic_series,
                              simulate_paths)
 from outemp.stats import anderson_darling_normal, fit_metrics, mape, r_squared, rmse
@@ -58,7 +58,7 @@ def _gate(num, description, ok):
 
 
 def _series_from_temps(temps, start_year=2001):
-    return TemperatureSeries(dates=leap_free_days(f"{start_year}-01-01", len(temps)),
+    return TemperatureSeries(dates=leap_free_calendar(f"{start_year}-01-01", len(temps)).dates,
                              temps=np.asarray(temps, float))
 
 

@@ -780,6 +780,14 @@ class TestSynth:
         assert len(parse_csv(out.read_text())) == 730
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH,
+    for a fresh interpreter."""
+    src = str(Path(__file__).parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_no_command_needs_scipy(tmp_path):
     code = """if True:
         import json, sys
@@ -795,9 +803,7 @@ def test_no_command_needs_scipy(tmp_path):
         ]
         print(json.dumps([main(argv) for argv in commands]))
     """
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          cwd=tmp_path, capture_output=True, text=True).stdout
     assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0, 0]
@@ -813,9 +819,7 @@ def test_process_entry_exits_as_main_returns(small_synth, tmp_path, capsys):
     unstable = tmp_path / "unstable.json"
     unstable.write_text(json.dumps(
         edited_report("kappa_t", 2.5)(json.loads(GOLDEN_REPORT.read_text()))))
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     for code, argv in [
             (0, ["fit", "--input", str(small_synth), "--out", str(tmp_path / "r.json")]),
             (2, ["simulate", "--report", str(unstable), "--days", "5",
@@ -838,13 +842,35 @@ def test_process_entry_exits_as_main_returns(small_synth, tmp_path, capsys):
 def test_cli_import_leaves_scipy_unloaded():
     # No command needs scipy (see test_no_command_needs_scipy), so
     # importing the CLI must not load it.
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     code = "import sys, outemp.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, which no statistic needs.
+    data = str(Path(__file__).parent / "data" / "synth_4y_seed0.csv")
+    code = f"""if True:
+        import io, json, sys
+        from contextlib import redirect_stdout
+        import numpy
+        loaded = "numpy.ma" in sys.modules
+        from outemp.cli import main
+        with redirect_stdout(io.StringIO()):
+            codes = [main(["describe", "--input", {data!r}]),
+                     main(["fit", "--input", {data!r}, "--out", "r.json"]),
+                     main(["evaluate", "--input", {data!r}, "--paths", "20"])]
+        print(json.dumps([loaded, codes, "numpy.ma" in sys.modules]))
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
+                         cwd=tmp_path, capture_output=True, text=True).stdout
+    loaded, codes, imported = json.loads(out)
+    if loaded:
+        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
+    assert codes == [0, 0, 0]
+    assert not imported
 
 
 def run_on_bytes(argv, data):

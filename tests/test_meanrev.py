@@ -7,7 +7,7 @@ import pytest
 from outemp import EstimationError
 from outemp.meanrev import estimate_kappa, estimating_function
 from outemp.seasonal import SeasonalMeanParams, evaluate_seasonal_mean
-from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
+from outemp.series import TemperatureSeries, leap_free_calendar
 from outemp.volatility import MonthlyVolatility, MonthlyVolatilitySeries
 
 FLAT = SeasonalMeanParams(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -21,7 +21,7 @@ def estimating_terms_scale(resid, weights, kappa):
 
 
 def series_from_temps(temps, start=dt.date(2001, 1, 1)):
-    return TemperatureSeries(dates=leap_free_days(start, len(temps)),
+    return TemperatureSeries(dates=leap_free_calendar(start, len(temps)).dates,
                              temps=np.asarray(temps, float))
 
 

@@ -8,11 +8,11 @@ from outemp import EstimationError, InputError, TemperatureSeries
 from outemp.seasonal import (SeasonalMeanParams, design_matrix, evaluate_seasonal_mean,
                              fit_seasonal_mean, ols_fit, recover_amplitude_phase)
 from outemp.stats import r_squared
-from outemp.series import leap_free_days
+from outemp.series import leap_free_calendar
 
 
 def series_from_temps(temps, start=dt.date(2001, 1, 1)):
-    return TemperatureSeries(dates=leap_free_days(start, len(temps)),
+    return TemperatureSeries(dates=leap_free_calendar(start, len(temps)).dates,
                              temps=np.asarray(temps, float))
 
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from outemp import InputError, fit_full_model, parse_csv, strip_leap_days
 from outemp import series as series_module
 from outemp.seasonal import design_matrix
-from outemp.series import (TemperatureSeries, _civil, is_leap_day, leap_free_days,
-                           leap_free_calendar, serialize_csv)
+from outemp.series import TemperatureSeries, _civil, is_leap_day, leap_free_calendar, serialize_csv
 
 
 def make_csv(rows, header="date,t_avg_c"):
@@ -342,11 +341,11 @@ class TestSeasonalBasis:
 
 
 def test_leap_free_days_skips_feb_29():
-    assert leap_free_days(dt.date(2000, 2, 28), 2)[1] == dt.date(2000, 3, 1)
-    assert leap_free_days(dt.date(2001, 2, 28), 2)[1] == dt.date(2001, 3, 1)
-    assert leap_free_days(dt.date(2000, 12, 31), 2)[1] == dt.date(2001, 1, 1)
+    assert leap_free_calendar(dt.date(2000, 2, 28), 2).dates[1] == dt.date(2000, 3, 1)
+    assert leap_free_calendar(dt.date(2001, 2, 28), 2).dates[1] == dt.date(2001, 3, 1)
+    assert leap_free_calendar(dt.date(2000, 12, 31), 2).dates[1] == dt.date(2001, 1, 1)
     with pytest.raises(InputError, match="Feb 29"):
-        leap_free_days(dt.date(2000, 2, 29), 1)
+        leap_free_calendar(dt.date(2000, 2, 29), 1)
 
 
 def test_is_leap_day():
@@ -395,7 +394,7 @@ class TestLeapFreeCalendar:
             if (d.month, d.day) != (2, 29):
                 expected.append(d)
             d += dt.timedelta(days=1)
-        assert leap_free_days(start, n).tolist() == expected
+        assert leap_free_calendar(start, n).dates.tolist() == expected
         months = list(dict.fromkeys((d.year, d.month) for d in expected))
         calendar = series_module.leap_free_calendar(start, n)
         assert calendar.month_id.tolist() == [months.index((d.year, d.month))
@@ -403,7 +402,7 @@ class TestLeapFreeCalendar:
         assert list(calendar.months) == months
 
     def test_strip_returns_a_leap_free_series_itself(self):
-        s = TemperatureSeries(leap_free_days("2000-02-27", 5), np.zeros(5))
+        s = TemperatureSeries(leap_free_calendar("2000-02-27", 5).dates, np.zeros(5))
         assert strip_leap_days(s) is s
 
     def test_strip_still_checks_a_series_that_needs_it(self):
@@ -511,7 +510,7 @@ def test_caller_writes_do_not_reach_the_series(write):
 
 def test_writes_to_the_base_of_a_view_do_not_reach_the_series():
     base = np.array([20.0, 25.0, 21.0, 26.0, 22.0, 24.0])
-    dates = leap_free_days("2000-01-01", 3)
+    dates = leap_free_calendar("2000-01-01", 3).dates
     s = TemperatureSeries(dates=dates, temps=base[1::2])
     base[3] = np.nan
     assert s.temps.tolist() == [25.0, 26.0, 24.0]

@@ -15,7 +15,7 @@ import pytest
 from outemp import InputError, parse_csv
 from outemp import cli, simulate
 from outemp.seasonal import SeasonalMeanParams, evaluate_seasonal_mean
-from outemp.series import leap_free_calendar, leap_free_days, serialize_csv
+from outemp.series import leap_free_calendar, serialize_csv
 from outemp.simulate import (VOL_FLOOR, Model, SimulationConfig, _vol_recursion, day_blocks,
                              generate_synthetic_series, simulate_paths, summary_blocks)
 from outemp.volatility import VolatilityModelParams
@@ -304,7 +304,7 @@ class TestEnsembleSummary:
 
 class TestSyntheticSeries:
     def test_calendar_is_leap_free(self):
-        dates = leap_free_days(dt.date(2000, 1, 1), 730)
+        dates = leap_free_calendar(dt.date(2000, 1, 1), 730).dates
         assert len(dates) == 730
         assert dates[0] == dt.date(2000, 1, 1)
         assert dates[-1] == dt.date(2001, 12, 31)

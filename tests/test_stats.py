@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from outemp import EstimationError, InputError
 from outemp.meanrev import estimate_kappa
-from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
+from outemp.series import TemperatureSeries, leap_free_calendar
 from outemp.stats import (_ad_p_value, _log_ndtr_both, anderson_darling_normal, describe,
                           fit_metrics, format_p_value, lag1_rate, mape, r_squared, rmse)
 from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
@@ -59,7 +59,49 @@ class TestDescribe:
         assert d1.excess_kurtosis == pytest.approx(d0.excess_kurtosis, rel=1e-9)
 
 
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestDescribeIsNumpysArithmetic:
+    """describe centers once, yet gives np.mean, np.std(ddof=1) and
+    np.median bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 365, 366, 8760, 8761])
+    def test_odd_and_even_sizes(self, n):
+        x = np.random.default_rng(n).normal(26.0, 1.5, n)
+        d = describe(x)
+        assert bits(d.mean) == bits(np.mean(x))
+        assert bits(d.sd) == bits(np.std(x, ddof=1))
+        assert bits(d.median) == bits(np.median(x))
+
+    @given(st.lists(finite_floats, min_size=2, max_size=40))
+    def test_any_sample(self, xs):
+        d = describe(xs)
+        assert bits(d.sd) == bits(np.std(xs, ddof=1))
+        assert bits(d.median) == bits(np.median(xs))
+
+    @pytest.mark.parametrize("x", [[-1.0, -0.0, 2.0], [-1.0, -0.0, -0.0, 2.0]])
+    def test_negative_zero_middle_gives_positive_zero(self, x):
+        assert bits(np.median(x)) == bits(0.0)
+        assert bits(describe(x).median) == bits(0.0)
+
+    @pytest.mark.parametrize("x", [[1.0, math.nan, 3.0], [math.nan, 1.0, 2.0, 3.0],
+                                   [math.nan]])
+    def test_nan_median_stays_nan(self, x):
+        assert math.isnan(np.median(x))
+        assert math.isnan(describe(x).median)
+
+
 class TestAndersonDarling:
+    def test_standardizes_as_np_std(self):
+        x = np.random.default_rng(5).normal(26.0, 1.5, 8760)
+        s = np.sort(x)
+        log_cdf, log_sf = _log_ndtr_both((s - s.mean()) / np.std(s, ddof=1))
+        i = np.arange(1, x.size + 1)
+        a2 = -x.size - float(np.mean((2 * i - 1) * (log_cdf + log_sf[::-1])))
+        assert anderson_darling_normal(x).a_squared == a2
+
     def test_normal_sample_not_rejected(self):
         x = np.random.default_rng(42).standard_normal(500)
         res = anderson_darling_normal(x)
@@ -216,7 +258,8 @@ class TestLag1Rate:
             x[j] = 0.7 * x[j - 1] + rng.normal()
         # Residuals about a zero mean are the temperatures themselves, and
         # a constant monthly sigma of 2.5 weighs every transition 0.16.
-        series = TemperatureSeries(dates=leap_free_days(dt.date(2001, 1, 1), 400), temps=x)
+        dates = leap_free_calendar(dt.date(2001, 1, 1), 400).dates
+        series = TemperatureSeries(dates=dates, temps=x)
         months = sorted({(d.year, d.month) for d in series.dates.tolist()})
         vols = MonthlyVolatilitySeries(entries=tuple(
             MonthlyVolatility(y, m, 2.5) for y, m in months))

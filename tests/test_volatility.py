@@ -10,11 +10,11 @@ from outemp.volatility import (MonthlyVolatility, MonthlyVolatilitySeries,
                                VolatilityModelParams, estimate_kappa_sigma,
                                estimate_sigma_bar, estimate_sigma_sigma,
                                monthly_quadratic_variation)
-from outemp.series import TemperatureSeries, leap_free_calendar, leap_free_days
+from outemp.series import TemperatureSeries, leap_free_calendar
 
 
 def series_from_temps(temps, start):
-    return TemperatureSeries(dates=leap_free_days(start, len(temps)),
+    return TemperatureSeries(dates=leap_free_calendar(start, len(temps)).dates,
                              temps=np.asarray(temps, float))
 
 
